@@ -66,11 +66,6 @@ type t = {
   mutable live : deployment list;
   mutable next_deploy_id : int;
   failed : (int, unit) Hashtbl.t;
-  tenant_of_depl : (int, string) Hashtbl.t;
-      (* only deployments tagged via [deploy ~tenant]; internal
-         redeploys (rebalance / migrate / fail_node) pass no tenant and
-         leave no entry, so grafted-and-discarded fresh handles cannot
-         leak or skew the accounting *)
 }
 
 let create ?(policy = greedy) ?(indexed = true) ?cache cluster registry =
@@ -83,7 +78,6 @@ let create ?(policy = greedy) ?(indexed = true) ?cache cluster registry =
     live = [];
     next_deploy_id = 0;
     failed = Hashtbl.create 4;
-    tenant_of_depl = Hashtbl.create 8;
   }
 
 let failed_nodes t = Hashtbl.fold (fun i () acc -> i :: acc) t.failed [] |> List.sort compare
@@ -280,15 +274,12 @@ let deploy_untraced t ~accel =
     in
     try_levels levels
 
-let deploy ?tenant t ~accel =
+let deploy t ~accel =
   Obs.Span.with_span "deploy" (fun span ->
       Obs.Span.add_arg span "accel" accel;
       match deploy_untraced t ~accel with
       | Ok d ->
         Obs.Span.add_arg span "deployment" (string_of_int d.id);
-        (match tenant with
-        | Some tn -> Hashtbl.replace t.tenant_of_depl d.id tn
-        | None -> ());
         Obs.Counter.incr (Obs.Counter.get "runtime.deploy.ok");
         Obs.Histogram.observe (Obs.Histogram.get "runtime.reconfig_us") d.reconfig_us;
         Ok d
@@ -296,37 +287,8 @@ let deploy ?tenant t ~accel =
         Obs.Counter.incr (Obs.Counter.get "runtime.deploy.fail");
         e)
 
-let default_tenant = "-"
-
-let deployment_tenant t d =
-  match Hashtbl.find_opt t.tenant_of_depl d.id with
-  | Some tn -> tn
-  | None -> default_tenant
-
 let deployment_vbs d =
   List.fold_left (fun acc p -> acc + p.bitstream.Bitstream.vbs) 0 d.placements
-
-(* Per-tenant slice of the live allocation: (tenant, deployments,
-   virtual blocks), sorted by tenant.  Computed over [t.live] on
-   demand — an observability accessor, not a hot-path structure. *)
-let tenant_usage t =
-  let acc : (string, int ref * int ref) Hashtbl.t = Hashtbl.create 8 in
-  List.iter
-    (fun d ->
-      let tn = deployment_tenant t d in
-      let depls, vbs =
-        match Hashtbl.find_opt acc tn with
-        | Some c -> c
-        | None ->
-          let c = (ref 0, ref 0) in
-          Hashtbl.replace acc tn c;
-          c
-      in
-      incr depls;
-      vbs := !vbs + deployment_vbs d)
-    t.live;
-  Hashtbl.fold (fun tn (d, v) l -> (tn, !d, !v) :: l) acc []
-  |> List.sort compare
 
 type stats = {
   live : int;
@@ -414,7 +376,6 @@ let rebalance (t : t) =
 let undeploy t d =
   List.iter (unload_placement t) d.placements;
   t.live <- List.filter (fun x -> x != d) t.live;
-  Hashtbl.remove t.tenant_of_depl d.id;
   Obs.Counter.incr (Obs.Counter.get "runtime.undeploy")
 
 (* ------------------------------------------------------------------ *)

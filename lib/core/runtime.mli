@@ -103,25 +103,12 @@ val registry : t -> Registry.t
 val cluster : t -> Mlv_cluster.Cluster.t
 
 (** [deploy t ~accel] finds and performs a feasible allocation, or
-    explains why none exists.  [~tenant] tags the deployment for
-    {!tenant_usage} accounting; untagged deployments (including every
-    internal redeploy during rebalance / migrate / failover) belong to
-    {!default_tenant}. *)
-val deploy : ?tenant:string -> t -> accel:string -> (deployment, string) result
-
-(** The tenant of untagged deployments (["-"]). *)
-val default_tenant : string
-
-(** [deployment_tenant t d] is the tenant [d] was deployed for. *)
-val deployment_tenant : t -> deployment -> string
+    explains why none exists. *)
+val deploy : t -> accel:string -> (deployment, string) result
 
 (** [deployment_vbs d] sums the virtual blocks across [d]'s
     placements. *)
 val deployment_vbs : deployment -> int
-
-(** [tenant_usage t] is the per-tenant slice of the live allocation:
-    [(tenant, deployments, virtual blocks)], sorted by tenant. *)
-val tenant_usage : t -> (string * int * int) list
 
 (** [deploy_with_retry t ~accel k] deploys with capped exponential
     backoff over the cluster's simulation clock: a refused request

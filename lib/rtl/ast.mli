@@ -84,6 +84,3 @@ val net_width : module_def -> string -> int
 (** [is_basic m] is true when [m] instantiates no user modules —
     the paper's definition of a basic module. *)
 val is_basic : module_def -> bool
-
-(** [pp_prim] and [pp_module_name] are formatters for diagnostics. *)
-val pp_prim : Format.formatter -> prim -> unit

@@ -22,11 +22,9 @@ type 'a t = {
   mutable nonempty : int;  (* slots with count > 0 *)
   mutable keys_cache : string list;
   mutable keys_dirty : bool;
-  tenant_of : ('a -> string) option;
-  tenant_pending : (string, int ref) Hashtbl.t;
 }
 
-let create ?tenant_of cfg =
+let create cfg =
   {
     cfg;
     slots = Hashtbl.create 8;
@@ -35,11 +33,7 @@ let create ?tenant_of cfg =
     nonempty = 0;
     keys_cache = [];
     keys_dirty = false;
-    tenant_of;
-    tenant_pending = Hashtbl.create 8;
   }
-
-let get_config t = t.cfg
 
 type 'a outcome = Dispatch of 'a list | Opened of float | Joined
 
@@ -51,23 +45,12 @@ let slot t key =
     Hashtbl.replace t.slots key s;
     s
 
-let tenant_delta t x d =
-  match t.tenant_of with
-  | None -> ()
-  | Some f -> (
-    let tn = f x in
-    match Hashtbl.find_opt t.tenant_pending tn with
-    | Some c -> c := !c + d
-    | None -> Hashtbl.replace t.tenant_pending tn (ref d))
-
 let take t s =
   let batch = List.rev s.items in
   if s.count > 0 then begin
     t.total <- t.total - s.count;
     t.nonempty <- t.nonempty - 1;
-    t.keys_dirty <- true;
-    if t.tenant_of <> None then
-      List.iter (fun x -> tenant_delta t x (-1)) batch
+    t.keys_dirty <- true
   end;
   s.items <- [];
   s.count <- 0;
@@ -79,7 +62,6 @@ let add t ~key ~now_us x =
   s.items <- x :: s.items;
   s.count <- s.count + 1;
   t.total <- t.total + 1;
-  tenant_delta t x 1;
   if s.count = 1 then begin
     t.nonempty <- t.nonempty + 1;
     t.keys_dirty <- true
@@ -122,10 +104,5 @@ let keys t =
     t.keys_dirty <- false
   end;
   t.keys_cache
-
-let pending_of_tenant t tenant =
-  match Hashtbl.find_opt t.tenant_pending tenant with
-  | Some c -> !c
-  | None -> 0
 
 let batches t = t.dispatched

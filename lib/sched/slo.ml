@@ -184,11 +184,6 @@ let tenant_burst_of t name =
   | Some b -> b.t_burst
   | None -> 0.0
 
-let tenant_priority_of t name =
-  match List.assoc_opt name t.tenant_buckets with
-  | Some b -> b.tspec.tenant_priority
-  | None -> 0
-
 let classes t = List.map (fun (_, b) -> b.spec) t.buckets
 let find t name = List.assoc_opt name t.buckets |> Option.map (fun b -> b.spec)
 

@@ -92,10 +92,6 @@ val tenant_rate_of : t -> string -> float
     capacity (tokens), 0 for unknown tenants. *)
 val tenant_burst_of : t -> string -> float
 
-(** [tenant_priority_of t name] is the tenant's declared priority, 0
-    for unknown tenants. *)
-val tenant_priority_of : t -> string -> int
-
 val classes : t -> class_spec list
 
 (** [find t name] is the spec of a known class. *)

@@ -4,18 +4,14 @@
     The open-loop engine holds one entry per task in service.
     Completion removes its own entry in O(1); a node crash asks for
     the flights touching that node in O(hits) instead of scanning the
-    whole system.  [~indexed:false] keeps the pre-index linear layout
-    (cons list, filtered per removal, partitioned per crash) as the
-    differential oracle for bench/scale.ml — both shapes are
-    observationally identical. *)
+    whole system. *)
 
 type 'a entry
 
 type 'a t
 
-(** [create ()] builds an empty table; [~indexed:false] selects the
-    linear oracle shape. *)
-val create : ?indexed:bool -> unit -> 'a t
+(** [create ()] builds an empty table. *)
+val create : unit -> 'a t
 
 (** [add t x ~nodes] inserts a flight occupying [nodes] and returns
     its entry (keep it; removal is by entry, not by search). *)

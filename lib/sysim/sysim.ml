@@ -101,10 +101,6 @@ type config = {
   tenants : Genset.tenant_load list;
       (* non-empty: the workload is the merged multi-tenant stream and
          [tasks] is ignored in favour of the per-tenant counts *)
-  indexed : bool;
-      (* false selects the pre-PR7 linear data shapes (list flight
-         table, fold-per-pick router, per-completion group scans) as
-         the differential oracle for bench/scale.ml *)
   bitstream_cache : int option;
       (* capacity of the runtime's bitstream staging cache; None (the
          default) keeps reconfiguration costs bit-identical to
@@ -140,7 +136,6 @@ let default_config ~policy ~composition =
     faults = None;
     serving = None;
     tenants = [];
-    indexed = true;
     bitstream_cache = None;
     telemetry = None;
     frontend = None;
@@ -532,7 +527,7 @@ type sgroup = {
   g_accel : string;
   g_tracker : Autoscaler.tracker;
   mutable g_replicas : replica list;  (* creation order *)
-  g_by_id : (int, replica) Hashtbl.t;  (* secondary index (indexed shape) *)
+  g_by_id : (int, replica) Hashtbl.t;  (* r_id -> replica *)
   g_backlog : stask list Queue.t;  (* batches with no replica to run on *)
   mutable g_backlog_tasks : int;  (* Σ batch sizes across g_backlog *)
   mutable g_assigned_tasks : int;  (* Σ batch sizes across replica queues *)
@@ -550,12 +545,197 @@ type sgroup = {
          rate the forecaster consumes (predictive mode only) *)
 }
 
-(* Telemetry scrape loop, shared by both engines.  Ticks ride the
-   event queue at absolute times k*interval so series bucket epochs
-   align exactly with scrape boundaries.  A tick reschedules only
-   while other work remains queued (at execution time the tick itself
-   is already off the queue), so a drained run terminates instead of
-   the loop keeping itself alive forever. *)
+(* ---------------- the shared engine skeleton ---------------- *)
+
+(* [memo f] caches [f] per key: for the pure name and handle lookups
+   the per-event paths would otherwise redo (a sprintf, a label list, a
+   registry probe). *)
+let memo f =
+  let tbl = Hashtbl.create 16 in
+  fun k ->
+    match Hashtbl.find_opt tbl k with
+    | Some v -> v
+    | None ->
+      let v = f k in
+      Hashtbl.replace tbl k v;
+      v
+
+(* What both engines set up and tally the same way: the fleet, the
+   task stream, the hoisted metric handles, the completion tallies and
+   the telemetry state.  Each engine keeps its own queueing state in
+   its own closure and drives these through the helpers below. *)
+type state = {
+  cfg : config;
+  cluster : Cluster.t;
+  runtime : Runtime.t;
+  sim : Sim.t;
+  tasks : Genset.task list;
+  ntasks : int;
+  multi : bool;
+  tallies : (string * ttally) list;
+  accel_name : int -> string;
+      (* memoized by instance size: computing the name per arrival
+         cost a sprintf per task *)
+  (* Metric handles are interned by name; hoisting the string-keyed
+     registry lookups out of the per-event closures lets the hot path
+     emit through direct handles. *)
+  rejected_c : Obs.Counter.t;
+  completed_c : Obs.Counter.t;
+  arrived_c : Obs.Counter.t;
+  slo_miss_c : Obs.Counter.t;
+  wait_attempt_h : Obs.Histogram.t;
+  service_h : Obs.Histogram.t;
+  wait_h : Obs.Histogram.t;
+  sojourn_h : Obs.Histogram.t;
+  mutable completed : int;
+  mutable rejected : int;
+  mutable shed : int;  (* serving only *)
+  mutable preempted : int;  (* serving only *)
+  mutable slo_misses : int;
+  mutable latencies : float list;  (* sojourns, newest first *)
+  mutable waits : float list;  (* arrival-to-deployment waits *)
+  mutable services : float list;
+  mutable peak_queue : int;
+  mutable makespan : float;
+  mutable scrapes : int;
+  mutable sojourn_s : Series.t option;  (* telemetry's sojourn p99 *)
+}
+
+let setup ~registry cfg =
+  let cluster = Cluster.create ~kinds:cfg.cluster_kinds () in
+  let cache =
+    Option.map (fun capacity -> Bitstream.Cache.create ~capacity ()) cfg.bitstream_cache
+  in
+  let runtime = Runtime.create ~policy:cfg.policy ?cache cluster registry in
+  let rng = Rng.create cfg.seed in
+  (* Bound one by one, not inside the record below (whose field
+     evaluation order is unspecified), so the metrics register in this
+     order. *)
+  let rejected_c = Obs.Counter.get "sysim.tasks.rejected" in
+  let completed_c = Obs.Counter.get "sysim.tasks.completed" in
+  let arrived_c = Obs.Counter.get "sysim.tasks.arrived" in
+  let slo_miss_c = Obs.Counter.get "sysim.slo_misses" in
+  let wait_attempt_h = Obs.Histogram.get "sysim.task_wait_attempt_us" in
+  let service_h = Obs.Histogram.get "sysim.task_service_us" in
+  let wait_h = Obs.Histogram.get "sysim.task_wait_us" in
+  let sojourn_h = Obs.Histogram.get "sysim.task_sojourn_us" in
+  let tasks = generate_tasks ~rng cfg in
+  let tallies = make_tallies cfg in
+  {
+    cfg;
+    cluster;
+    runtime;
+    sim = cluster.Cluster.sim;
+    tasks;
+    ntasks = task_count cfg;
+    multi = cfg.tenants <> [];
+    tallies;
+    accel_name = memo (fun tiles -> Framework.accel_name ~tiles);
+    rejected_c;
+    completed_c;
+    arrived_c;
+    slo_miss_c;
+    wait_attempt_h;
+    service_h;
+    wait_h;
+    sojourn_h;
+    completed = 0;
+    rejected = 0;
+    shed = 0;
+    preempted = 0;
+    slo_misses = 0;
+    latencies = [];
+    waits = [];
+    services = [];
+    peak_queue = 0;
+    makespan = 0.0;
+    scrapes = 0;
+    sojourn_s = None;
+  }
+
+let accel_of_point st point = st.accel_name (instance_for ~policy:st.cfg.policy point)
+
+let tally_of st tenant = if st.multi then List.assoc_opt tenant st.tallies else None
+
+(* Some task is still unresolved: the periodic ticks run only while
+   this holds, so a drained run terminates. *)
+let unfinished st = st.completed + st.rejected + st.shed + st.preempted < st.ntasks
+
+(* [every sim ~interval_us ~while_ f] runs [f] every [interval_us] of
+   simulated time from one interval on, for as long as [while_ ()]
+   holds at the tick. *)
+let every sim ~interval_us ~while_ f =
+  let rec tick () =
+    if while_ () then begin
+      f ();
+      Sim.schedule sim ~delay:interval_us tick
+    end
+  in
+  Sim.schedule sim ~delay:interval_us tick
+
+(* Every arrival fires the shared bookkeeping (arrival counter, tenant
+   tally, accelerator choice, lifecycle event), then the engine's
+   [admit]. *)
+let schedule_arrivals st admit =
+  List.iter
+    (fun (task : Genset.task) ->
+      Sim.schedule_at st.sim ~at:task.Genset.arrival_us (fun () ->
+          Obs.Counter.incr st.arrived_c;
+          let tally = tally_of st task.Genset.tenant in
+          (match tally with
+          | Some t -> t.tt_arrived <- t.tt_arrived + 1
+          | None -> ());
+          let accel = accel_of_point st task.Genset.point in
+          Obs.Trace.task Obs.Trace.Arrive task.Genset.task_id ~label:accel;
+          admit task tally accel))
+    st.tasks
+
+let note_reject st (task : Genset.task) ~retries ~label =
+  st.rejected <- st.rejected + 1;
+  Obs.Counter.incr st.rejected_c;
+  (match tally_of st task.Genset.tenant with
+  | Some t -> t.tt_rejected <- t.tt_rejected + 1
+  | None -> ());
+  Obs.Trace.task Obs.Trace.Reject task.Genset.task_id ~retries ~label
+
+(* One completed task: the completion counter, the sojourn histograms
+   ([kind_h] is the deployment-kind one) and p99 series, the lifecycle
+   event, the SLO test against [deadline_us], the makespan and the
+   tenant tally.  Returns the sojourn. *)
+let record_completion st ?node ~deployment ~retries ~label ~kind_h ~finished
+    ~deadline_us (task : Genset.task) =
+  st.completed <- st.completed + 1;
+  Obs.Counter.incr st.completed_c;
+  let sojourn = finished -. task.Genset.arrival_us in
+  st.latencies <- sojourn :: st.latencies;
+  Obs.Histogram.observe st.sojourn_h sojourn;
+  (match st.sojourn_s with
+  | Some s -> Series.observe s ~now_us:finished sojourn
+  | None -> ());
+  Obs.Histogram.observe kind_h sojourn;
+  Obs.Trace.task Obs.Trace.Complete task.Genset.task_id ?node ~deployment ~retries
+    ~label;
+  let missed = sojourn > deadline_us in
+  if missed then begin
+    st.slo_misses <- st.slo_misses + 1;
+    Obs.Counter.incr st.slo_miss_c
+  end;
+  st.makespan <- Float.max st.makespan finished;
+  (match tally_of st task.Genset.tenant with
+  | Some t ->
+    t.tt_completed <- t.tt_completed + 1;
+    t.tt_latencies <- sojourn :: t.tt_latencies;
+    if missed then t.tt_slo_misses <- t.tt_slo_misses + 1;
+    Obs.Counter.incr t.tt_completed_c
+  | None -> ());
+  sojourn
+
+(* Telemetry scrape loop.  Ticks ride the event queue at absolute
+   times k*interval so series bucket epochs align exactly with scrape
+   boundaries.  A tick reschedules only while other work remains
+   queued (at execution time the tick itself is already off the
+   queue), so a drained run terminates instead of the loop keeping
+   itself alive forever. *)
 let start_scrape_loop sim ~interval_us f =
   let rec tick k () =
     f ~now_us:(Sim.now sim);
@@ -566,12 +746,139 @@ let start_scrape_loop sim ~interval_us f =
   in
   Sim.schedule_at sim ~at:interval_us (tick 1)
 
-(* One scrape's worth of a monotonically growing tally: the delta
-   since the previous scrape. *)
-let scrape_delta r last =
-  let v = !r - !last in
-  last := !r;
-  float_of_int v
+(* A series owned by this run: a previous run in this process may have
+   registered the name with a different interval or capacity. *)
+let own_series tel kind name =
+  Series.remove name;
+  Series.create ~buckets:tel.series_buckets ~kind ~interval_us:tel.scrape_interval_us
+    name
+
+(* The optional scrape loop: each interval it samples the completed,
+   rejected and SLO-missed rates, the engine's own [rate] tally, the
+   [queue_depth] and the engine's own [gauge], plus the per-tenant
+   completion and SLO-miss rates, then evaluates the alert rules; the
+   sojourn p99 series is fed by {!record_completion}.  Sampling only
+   reads state, so results are identical with telemetry on or off;
+   series are re-created at setup so back-to-back runs in one process
+   stay independent. *)
+let start_telemetry st ~rate:(rate_name, rate) ~queue_depth ~gauge:(gauge_name, gauge)
+    =
+  Option.map
+    (fun tel ->
+      let engine = Alert.create tel.rules in
+      let iv = tel.scrape_interval_us in
+      let mk = own_series tel in
+      let completed_s = mk Series.Rate "sysim.completed.rate" in
+      let rejected_s = mk Series.Rate "sysim.rejected.rate" in
+      let rate_s = mk Series.Rate rate_name in
+      let slo_s = mk Series.Rate "sysim.slo_missed.rate" in
+      let queue_s = mk Series.Gauge "sysim.queue_depth" in
+      let gauge_s = mk Series.Gauge gauge_name in
+      st.sojourn_s <- Some (mk (Series.Quantile 0.99) "sysim.sojourn_us.p99");
+      let tenant_series =
+        List.map
+          (fun (_, t) ->
+            let lbl = [ ("tenant", t.tt_name) ] in
+            let mk_l kind name =
+              Series.remove (Obs.Labels.key name lbl);
+              Series.create_labeled ~buckets:tel.series_buckets ~kind ~interval_us:iv
+                name lbl
+            in
+            ( t,
+              mk_l Series.Rate "sysim.tenant.completed.rate",
+              ref 0,
+              mk_l Series.Rate "sysim.tenant.slo_missed.rate",
+              ref 0 ))
+          st.tallies
+      in
+      (* One scrape's worth of a monotonically growing tally: the delta
+         since the previous scrape. *)
+      let delta v last =
+        let d = v - !last in
+        last := v;
+        float_of_int d
+      in
+      let lc = ref 0 and lr = ref 0 and lx = ref 0 and ls = ref 0 in
+      start_scrape_loop st.sim ~interval_us:iv (fun ~now_us ->
+          st.scrapes <- st.scrapes + 1;
+          Series.observe completed_s ~now_us (delta st.completed lc);
+          Series.observe rejected_s ~now_us (delta st.rejected lr);
+          Series.observe rate_s ~now_us (delta (rate ()) lx);
+          Series.observe slo_s ~now_us (delta st.slo_misses ls);
+          Series.observe queue_s ~now_us (float_of_int (queue_depth ()));
+          Series.observe gauge_s ~now_us (float_of_int (gauge ()));
+          List.iter
+            (fun (t, cs, lc', ss, ls') ->
+              Series.observe cs ~now_us (delta t.tt_completed lc');
+              Series.observe ss ~now_us (delta t.tt_slo_misses ls'))
+            tenant_series;
+          Alert.eval engine ~now_us);
+      engine)
+    st.cfg.telemetry
+
+(* The event loop proper; returns its wall-clock seconds. *)
+let run_loop st =
+  let t0 = Obs.wall_us () in
+  Sim.run st.sim;
+  (Obs.wall_us () -. t0) /. 1e6
+
+(* The result fields both engines derive the same way, with every
+   engine-specific field at its neutral value; each engine overrides
+   its own fields on the returned record. *)
+let finish st ~loop_wall_s ~alerts =
+  let lost = st.ntasks - st.completed - st.rejected - st.shed - st.preempted in
+  if lost > 0 then Obs.Counter.add (Obs.Counter.get "sysim.tasks.lost") lost;
+  let mean xs = Mlv_util.Stats.mean xs in
+  let p50, p95, p99 = latency_percentiles st.latencies in
+  let per_s n =
+    if st.makespan > 0.0 then float_of_int n /. (st.makespan /. 1e6) else 0.0
+  in
+  let throughput = per_s st.completed in
+  let cache_hits, cache_misses = cache_stats st.runtime in
+  {
+    completed = st.completed;
+    retried = 0;
+    rejected = st.rejected;
+    shed = st.shed;
+    lost;
+    makespan_us = st.makespan;
+    throughput_per_s = throughput;
+    goodput_per_s = per_s (st.completed - st.slo_misses);
+    fault_downtime_us = 0.0;
+    fault_free_throughput_per_s = throughput;
+    mean_latency_us = mean st.latencies;
+    mean_wait_us = mean st.waits;
+    wait_attempts = List.length st.waits;
+    mean_wait_per_attempt_us = mean st.waits;
+    mean_service_us = mean st.services;
+    p50_latency_us = p50;
+    p95_latency_us = p95;
+    p99_latency_us = p99;
+    peak_queue = st.peak_queue;
+    latencies_us = List.rev st.latencies;
+    slo_misses = st.slo_misses;
+    batches = 0;
+    scale_ups = 0;
+    scale_downs = 0;
+    preempted = st.preempted;
+    preemptions = 0;
+    defrag_moves = 0;
+    cache_hits;
+    cache_misses;
+    sessions_opened = 0;
+    sessions_expired = 0;
+    sticky_hits = 0;
+    sticky_misses = 0;
+    held_results = 0;
+    mapcache_hits = 0;
+    mapcache_misses = 0;
+    mapcache_evictions = 0;
+    per_tenant = tenant_stats_of ~makespan_us:st.makespan st.tallies;
+    scrapes = st.scrapes;
+    alert_transitions =
+      (match alerts with Some e -> Alert.transitions e | None -> []);
+    loop_wall_s;
+  }
 
 let rec run ~registry cfg =
   (* A completed run releases its simulator's span clock — otherwise
@@ -593,177 +900,50 @@ let rec run ~registry cfg =
           | None ->
             if cfg.frontend <> None then
               invalid_arg "Sysim.run: config.frontend requires serving mode";
-            run_untraced ~registry cfg))
+            run_open_loop ~registry cfg))
 
-and run_untraced ~registry cfg =
-  let cluster = Cluster.create ~kinds:cfg.cluster_kinds () in
-  let cache =
-    Option.map (fun capacity -> Bitstream.Cache.create ~capacity ()) cfg.bitstream_cache
-  in
-  let runtime = Runtime.create ~policy:cfg.policy ?cache cluster registry in
-  let sim = cluster.Cluster.sim in
-  let rng = Rng.create cfg.seed in
-  (* Metric handles are interned by name; hoist the string-keyed
-     registry lookups out of the per-event closures so the hot path
-     emits through direct handles. *)
-  let rejected_c = Obs.Counter.get "sysim.tasks.rejected" in
-  let completed_c = Obs.Counter.get "sysim.tasks.completed" in
+(* Open loop: a FIFO queue in front of the runtime, one deployment per
+   task, optionally under a fault plan. *)
+and run_open_loop ~registry cfg =
+  let st = setup ~registry cfg in
+  let sim = st.sim and runtime = st.runtime and cluster = st.cluster in
   let retried_c = Obs.Counter.get "sysim.tasks.retried" in
-  let arrived_c = Obs.Counter.get "sysim.tasks.arrived" in
-  let slo_miss_c = Obs.Counter.get "sysim.slo_misses" in
-  let wait_attempt_h = Obs.Histogram.get "sysim.task_wait_attempt_us" in
-  let service_h = Obs.Histogram.get "sysim.task_service_us" in
-  let wait_h = Obs.Histogram.get "sysim.task_wait_us" in
-  let sojourn_h = Obs.Histogram.get "sysim.task_sojourn_us" in
   (* Labeled series are interned by (name, labels); cache the handles
      per dimension value so completions stop allocating label lists. *)
-  let completed_node_cs : (int, Obs.Counter.t) Hashtbl.t = Hashtbl.create 32 in
-  let completed_node n =
-    match Hashtbl.find_opt completed_node_cs n with
-    | Some c -> c
-    | None ->
-      let c =
-        Obs.Counter.get_labeled "sysim.tasks.completed"
-          [ ("node", string_of_int n) ]
-      in
-      Hashtbl.replace completed_node_cs n c;
-      c
+  let completed_node =
+    memo (fun n ->
+        Obs.Counter.get_labeled "sysim.tasks.completed" [ ("node", string_of_int n) ])
   in
-  let sojourn_kind_hs : (string, Obs.Histogram.t) Hashtbl.t = Hashtbl.create 8 in
-  let sojourn_kind kind =
-    match Hashtbl.find_opt sojourn_kind_hs kind with
-    | Some h -> h
-    | None ->
-      let h = Obs.Histogram.get_labeled "sysim.task_sojourn_us" [ ("kind", kind) ] in
-      Hashtbl.replace sojourn_kind_hs kind h;
-      h
+  let sojourn_kind =
+    memo (fun kind ->
+        Obs.Histogram.get_labeled "sysim.task_sojourn_us" [ ("kind", kind) ])
   in
-  let sojourn_kind_node_hs : (string * int, Obs.Histogram.t) Hashtbl.t =
-    Hashtbl.create 32
-  in
-  let sojourn_kind_node kind n =
-    match Hashtbl.find_opt sojourn_kind_node_hs (kind, n) with
-    | Some h -> h
-    | None ->
-      let h =
+  let sojourn_kind_node =
+    memo (fun (kind, n) ->
         Obs.Histogram.get_labeled "sysim.task_sojourn_us"
-          [ ("kind", kind); ("node", string_of_int n) ]
-      in
-      Hashtbl.replace sojourn_kind_node_hs (kind, n) h;
-      h
+          [ ("kind", kind); ("node", string_of_int n) ])
   in
-  (* The accelerator name is a pure function of the instance size;
-     computing it per arrival cost a sprintf per task. *)
-  let accel_names : (int, string) Hashtbl.t = Hashtbl.create 16 in
-  let accel_of_point point =
-    let tiles = instance_for ~policy:cfg.policy point in
-    match Hashtbl.find_opt accel_names tiles with
-    | Some s -> s
-    | None ->
-      let s = Framework.accel_name ~tiles in
-      Hashtbl.replace accel_names tiles s;
-      s
-  in
-  let tasks = generate_tasks ~rng cfg in
-  let ntasks = task_count cfg in
-  let multi = cfg.tenants <> [] in
-  let tallies = make_tallies cfg in
-  let tally_of tenant = if multi then List.assoc_opt tenant tallies else None in
   let queue : pending Queue.t = Queue.create () in
-  let inflight : inflight Flight_table.t =
-    Flight_table.create ~indexed:cfg.indexed ()
-  in
-  let completed = ref 0 in
+  let inflight : inflight Flight_table.t = Flight_table.create () in
   let retried = ref 0 in
-  let rejected = ref 0 in
-  let latencies = ref [] in
-  let waits = ref [] in
   let attempt_waits = ref [] in
-  let services = ref [] in
-  let peak_queue = ref 0 in
-  let slo_misses = ref 0 in
-  let makespan = ref 0.0 in
   (* Fault-window bookkeeping: closed [start, stop] outage intervals
      (≥ 1 node down), plus completions that landed inside one. *)
   let down : (int, unit) Hashtbl.t = Hashtbl.create 4 in
   let outage_start = ref None in
   let outages = ref [] in
   let completed_in_outage = ref 0 in
-  (* Optional scrape loop: sample windowed series from the run tallies
-     each interval, then evaluate the alert rules.  Sampling only
-     reads state, so results are identical with telemetry on or off;
-     series are cleared at setup so back-to-back runs in one process
-     stay independent. *)
-  let scrapes = ref 0 in
-  let sojourn_s = ref None in
   let alerts =
-    Option.map
-      (fun tel ->
-        let engine = Alert.create tel.rules in
-        let iv = tel.scrape_interval_us in
-        (* Own the name: a previous run in this process may have
-           registered it with a different interval or capacity. *)
-        let mk kind name =
-          Series.remove name;
-          Series.create ~buckets:tel.series_buckets ~kind ~interval_us:iv name
-        in
-        let completed_s = mk Series.Rate "sysim.completed.rate" in
-        let rejected_s = mk Series.Rate "sysim.rejected.rate" in
-        let retried_s = mk Series.Rate "sysim.retried.rate" in
-        let slo_s = mk Series.Rate "sysim.slo_missed.rate" in
-        let queue_s = mk Series.Gauge "sysim.queue_depth" in
-        let down_s = mk Series.Gauge "sysim.nodes_down" in
-        sojourn_s := Some (mk (Series.Quantile 0.99) "sysim.sojourn_us.p99");
-        let tenant_series =
-          List.map
-            (fun (_, t) ->
-              let lbl = [ ("tenant", t.tt_name) ] in
-              let mk_l kind name =
-                Series.remove (Obs.Labels.key name lbl);
-                Series.create_labeled ~buckets:tel.series_buckets ~kind
-                  ~interval_us:iv name lbl
-              in
-              ( t,
-                mk_l Series.Rate "sysim.tenant.completed.rate",
-                ref 0,
-                mk_l Series.Rate "sysim.tenant.slo_missed.rate",
-                ref 0 ))
-            tallies
-        in
-        let lc = ref 0 and lr = ref 0 and lt = ref 0 and ls = ref 0 in
-        start_scrape_loop sim ~interval_us:iv (fun ~now_us ->
-            incr scrapes;
-            Series.observe completed_s ~now_us (scrape_delta completed lc);
-            Series.observe rejected_s ~now_us (scrape_delta rejected lr);
-            Series.observe retried_s ~now_us (scrape_delta retried lt);
-            Series.observe slo_s ~now_us (scrape_delta slo_misses ls);
-            Series.observe queue_s ~now_us (float_of_int (Queue.length queue));
-            Series.observe down_s ~now_us (float_of_int (Hashtbl.length down));
-            List.iter
-              (fun (t, cs, lc', ss, ls') ->
-                Series.observe cs ~now_us (float_of_int (t.tt_completed - !lc'));
-                lc' := t.tt_completed;
-                Series.observe ss ~now_us (float_of_int (t.tt_slo_misses - !ls'));
-                ls' := t.tt_slo_misses)
-              tenant_series;
-            Alert.eval engine ~now_us);
-        engine)
-      cfg.telemetry
+    start_telemetry st
+      ~rate:("sysim.retried.rate", fun () -> !retried)
+      ~queue_depth:(fun () -> Queue.length queue)
+      ~gauge:("sysim.nodes_down", fun () -> Hashtbl.length down)
   in
-  let reject (p : pending) =
-    incr rejected;
-    Obs.Counter.incr rejected_c;
-    (match tally_of p.task.Genset.tenant with
-    | Some t -> t.tt_rejected <- t.tt_rejected + 1
-    | None -> ());
-    Obs.Trace.task Obs.Trace.Reject p.task.Genset.task_id ~retries:p.retries
-      ~label:p.accel
-  in
+  let reject (p : pending) = note_reject st p.task ~retries:p.retries ~label:p.accel in
   let rec try_start () =
     if not (Queue.is_empty queue) then begin
       let p = Queue.peek queue in
-      let tenant = if multi then Some p.task.Genset.tenant else None in
-      match Runtime.deploy ?tenant runtime ~accel:p.accel with
+      match Runtime.deploy runtime ~accel:p.accel with
       | Error _ ->
         (* The head blocks the FIFO queue to avoid starvation — but a
            head that cannot deploy even on an empty, fully healthy
@@ -790,7 +970,7 @@ and run_untraced ~registry cfg =
         let wait = now -. p.task.Genset.arrival_us in
         let attempt_wait = now -. p.ready_us in
         attempt_waits := attempt_wait :: !attempt_waits;
-        Obs.Histogram.observe wait_attempt_h attempt_wait;
+        Obs.Histogram.observe st.wait_attempt_h attempt_wait;
         let service =
           d.Runtime.reconfig_us
           +. (float_of_int cfg.repeats_per_task
@@ -798,8 +978,8 @@ and run_untraced ~registry cfg =
                   ~added_latency_us:(Network.added_latency_us cluster.Cluster.network)
                   p.task.Genset.point d)
         in
-        services := service :: !services;
-        Obs.Histogram.observe service_h service;
+        st.services <- service :: st.services;
+        Obs.Histogram.observe st.service_h service;
         Obs.Trace.task Obs.Trace.Service p.task.Genset.task_id ?node
           ~deployment:d.Runtime.id ~retries:p.retries ~label:p.accel;
         let fl = { pend = p; depl = d; cancelled = false } in
@@ -808,42 +988,24 @@ and run_untraced ~registry cfg =
             if not fl.cancelled then begin
               Flight_table.remove inflight fe;
               Runtime.undeploy runtime d;
-              incr completed;
               if Hashtbl.length down > 0 then incr completed_in_outage;
-              Obs.Counter.incr completed_c;
               (match node with
               | Some n -> Obs.Counter.incr (completed_node n)
               | None -> ());
-              waits := wait :: !waits;
-              Obs.Histogram.observe wait_h wait;
-              let finished = Sim.now sim in
-              let sojourn = finished -. p.task.Genset.arrival_us in
-              latencies := sojourn :: !latencies;
-              Obs.Histogram.observe sojourn_h sojourn;
-              (match !sojourn_s with
-              | Some s -> Series.observe s ~now_us:finished sojourn
-              | None -> ());
-              Obs.Histogram.observe (sojourn_kind kind) sojourn;
-              (match node with
-              | Some n -> Obs.Histogram.observe (sojourn_kind_node kind n) sojourn
-              | None -> ());
-              Obs.Trace.task Obs.Trace.Complete p.task.Genset.task_id ?node
-                ~deployment:d.Runtime.id ~retries:p.retries ~label:p.accel;
+              st.waits <- wait :: st.waits;
+              Obs.Histogram.observe st.wait_h wait;
               (* SLO: a task should finish within slo_multiplier x its
                  unqueued service time. *)
-              let missed = sojourn > cfg.slo_multiplier *. service in
-              if missed then begin
-                incr slo_misses;
-                Obs.Counter.incr slo_miss_c
-              end;
-              (match tally_of p.task.Genset.tenant with
-              | Some t ->
-                t.tt_completed <- t.tt_completed + 1;
-                t.tt_latencies <- sojourn :: t.tt_latencies;
-                if missed then t.tt_slo_misses <- t.tt_slo_misses + 1;
-                Obs.Counter.incr t.tt_completed_c
+              let sojourn =
+                record_completion st ?node ~deployment:d.Runtime.id
+                  ~retries:p.retries ~label:p.accel ~kind_h:(sojourn_kind kind)
+                  ~finished:(Sim.now sim)
+                  ~deadline_us:(cfg.slo_multiplier *. service)
+                  p.task
+              in
+              (match node with
+              | Some n -> Obs.Histogram.observe (sojourn_kind_node (kind, n)) sojourn
               | None -> ());
-              makespan := Float.max !makespan finished;
               try_start ()
             end);
         try_start ()
@@ -914,22 +1076,11 @@ and run_untraced ~registry cfg =
     try_start ()
   in
   let on_degrade us = Network.set_added_latency_us cluster.Cluster.network us in
-  List.iter
-    (fun (task : Genset.task) ->
-      Sim.schedule_at sim ~at:task.Genset.arrival_us (fun () ->
-          Obs.Counter.incr arrived_c;
-          (match tally_of task.Genset.tenant with
-          | Some t -> t.tt_arrived <- t.tt_arrived + 1
-          | None -> ());
-          let accel = accel_of_point task.Genset.point in
-          Obs.Trace.task Obs.Trace.Arrive task.Genset.task_id ~label:accel;
-          Queue.add
-            { task; accel; retries = 0; ready_us = task.Genset.arrival_us }
-            queue;
-          Obs.Trace.task Obs.Trace.Queue task.Genset.task_id ~label:accel;
-          peak_queue := max !peak_queue (Queue.length queue);
-          try_start ()))
-    tasks;
+  schedule_arrivals st (fun task _ accel ->
+      Queue.add { task; accel; retries = 0; ready_us = task.Genset.arrival_us } queue;
+      Obs.Trace.task Obs.Trace.Queue task.Genset.task_id ~label:accel;
+      st.peak_queue <- max st.peak_queue (Queue.length queue);
+      try_start ());
   (match cfg.faults with
   | None -> ()
   | Some f ->
@@ -937,9 +1088,7 @@ and run_untraced ~registry cfg =
     | Ok () -> ()
     | Error e -> invalid_arg ("Sysim.run: " ^ e));
     Fault_plan.schedule f.plan sim ~on_crash ~on_restore ~on_degrade);
-  let loop_t0 = Obs.wall_us () in
-  Sim.run sim;
-  let loop_wall_s = (Obs.wall_us () -. loop_t0) /. 1e6 in
+  let loop_wall_s = run_loop st in
   (* Tasks still queued when the events drained could not be served
      (e.g. a crash that was never restored): reject them so every
      task is accounted for instead of silently starving. *)
@@ -950,77 +1099,33 @@ and run_untraced ~registry cfg =
     outages := (t0, Sim.now sim) :: !outages;
     outage_start := None
   | None -> ());
-  let lost = ntasks - !completed - !rejected in
-  if lost > 0 then
-    Obs.Counter.add (Obs.Counter.get "sysim.tasks.lost") lost;
-  let mean xs = Mlv_util.Stats.mean xs in
-  let p50, p95, p99 = latency_percentiles !latencies in
+  let r = finish st ~loop_wall_s ~alerts in
   let fault_downtime_us =
     List.fold_left (fun acc (t0, t1) -> acc +. (t1 -. t0)) 0.0 !outages
   in
   (* Throughput outside the fault window: completions that landed
      while every node was up, over the makespan minus the downtime
      overlapping it. *)
-  let downtime_in_makespan =
-    List.fold_left
-      (fun acc (t0, t1) -> acc +. Float.max 0.0 (Float.min t1 !makespan -. t0))
-      0.0 !outages
-  in
   let fault_free_throughput_per_s =
-    let up_time = !makespan -. downtime_in_makespan in
-    if fault_downtime_us = 0.0 then
-      if !makespan > 0.0 then float_of_int !completed /. (!makespan /. 1e6) else 0.0
-    else if up_time > 0.0 then
-      float_of_int (!completed - !completed_in_outage) /. (up_time /. 1e6)
-    else 0.0
+    if fault_downtime_us = 0.0 then r.throughput_per_s
+    else
+      let downtime_in_makespan =
+        List.fold_left
+          (fun acc (t0, t1) -> acc +. Float.max 0.0 (Float.min t1 st.makespan -. t0))
+          0.0 !outages
+      in
+      let up_time = st.makespan -. downtime_in_makespan in
+      if up_time > 0.0 then
+        float_of_int (st.completed - !completed_in_outage) /. (up_time /. 1e6)
+      else 0.0
   in
   {
-    completed = !completed;
+    r with
     retried = !retried;
-    rejected = !rejected;
-    shed = 0;
-    lost;
-    makespan_us = !makespan;
-    throughput_per_s =
-      (if !makespan > 0.0 then float_of_int !completed /. (!makespan /. 1e6) else 0.0);
-    goodput_per_s =
-      (if !makespan > 0.0 then
-         float_of_int (!completed - !slo_misses) /. (!makespan /. 1e6)
-       else 0.0);
     fault_downtime_us;
     fault_free_throughput_per_s;
-    mean_latency_us = mean !latencies;
-    mean_wait_us = mean !waits;
     wait_attempts = List.length !attempt_waits;
-    mean_wait_per_attempt_us = mean !attempt_waits;
-    mean_service_us = mean !services;
-    p50_latency_us = p50;
-    p95_latency_us = p95;
-    p99_latency_us = p99;
-    peak_queue = !peak_queue;
-    latencies_us = List.rev !latencies;
-    slo_misses = !slo_misses;
-    batches = 0;
-    scale_ups = 0;
-    scale_downs = 0;
-    preempted = 0;
-    preemptions = 0;
-    defrag_moves = 0;
-    cache_hits = fst (cache_stats runtime);
-    cache_misses = snd (cache_stats runtime);
-    sessions_opened = 0;
-    sessions_expired = 0;
-    sticky_hits = 0;
-    sticky_misses = 0;
-    held_results = 0;
-    mapcache_hits = 0;
-    mapcache_misses = 0;
-    mapcache_evictions = 0;
-    per_tenant = tenant_stats_of ~makespan_us:!makespan tallies;
-    scrapes = !scrapes;
-    alert_transitions =
-      (match alerts with Some e -> Alert.transitions e | None -> []);
-    loop_wall_s;
+    mean_wait_per_attempt_us = Mlv_util.Stats.mean !attempt_waits;
   }
 
 (* Closed-loop serving: admission gate -> batcher -> router ->
@@ -1028,42 +1133,10 @@ and run_untraced ~registry cfg =
    clock.  Fault plans are rejected up front (see [run]); every task
    ends as completed, shed or rejected. *)
 and run_serving ~registry cfg serving =
-  let cluster = Cluster.create ~kinds:cfg.cluster_kinds () in
-  let cache =
-    Option.map (fun capacity -> Bitstream.Cache.create ~capacity ()) cfg.bitstream_cache
-  in
-  let runtime = Runtime.create ~policy:cfg.policy ?cache cluster registry in
-  let sim = cluster.Cluster.sim in
-  let rng = Rng.create cfg.seed in
-  (* Same hoist as [run_untraced]: per-task/per-batch emit sites use
-     direct metric handles instead of string-keyed registry lookups. *)
-  let rejected_c = Obs.Counter.get "sysim.tasks.rejected" in
-  let completed_c = Obs.Counter.get "sysim.tasks.completed" in
-  let arrived_c = Obs.Counter.get "sysim.tasks.arrived" in
-  let slo_miss_c = Obs.Counter.get "sysim.slo_misses" in
+  let st = setup ~registry cfg in
+  let sim = st.sim and runtime = st.runtime and multi = st.multi in
   let batches_c = Obs.Counter.get "sysim.serving.batches" in
   let shed_c = Obs.Counter.get "sysim.serving.shed" in
-  let wait_attempt_h = Obs.Histogram.get "sysim.task_wait_attempt_us" in
-  let service_h = Obs.Histogram.get "sysim.task_service_us" in
-  let wait_h = Obs.Histogram.get "sysim.task_wait_us" in
-  let sojourn_h = Obs.Histogram.get "sysim.task_sojourn_us" in
-  (* Accelerator names are a pure function of the instance size; see
-     the identical cache in [run_untraced]. *)
-  let accel_names : (int, string) Hashtbl.t = Hashtbl.create 16 in
-  let accel_of_point point =
-    let tiles = instance_for ~policy:cfg.policy point in
-    match Hashtbl.find_opt accel_names tiles with
-    | Some s -> s
-    | None ->
-      let s = Framework.accel_name ~tiles in
-      Hashtbl.replace accel_names tiles s;
-      s
-  in
-  let tasks = generate_tasks ~rng cfg in
-  let ntasks = task_count cfg in
-  let multi = cfg.tenants <> [] in
-  let tallies = make_tallies cfg in
-  let tally_of tenant = if multi then List.assoc_opt tenant tallies else None in
   let gate = Slo.create serving.classes in
   (match serving.tenant_pool with
   | None -> ()
@@ -1087,7 +1160,7 @@ and run_serving ~registry cfg serving =
     match Hashtbl.find_opt tenant_prio tenant with Some p -> p | None -> 0
   in
   let batch_priority batch =
-    List.fold_left (fun a st -> max a (prio_of st.s_task.Genset.tenant)) 0 batch
+    List.fold_left (fun a req -> max a (prio_of req.s_task.Genset.tenant)) 0 batch
   in
   (* The serving front door: all-None (the default) takes none of the
      branches below and is bit-identical to a build without it. *)
@@ -1100,33 +1173,22 @@ and run_serving ~registry cfg serving =
   in
   (* Shape signatures are a pure function of the registered plan;
      memoized so the admission path pays one hash lookup. *)
-  let shape_sigs : (string, string) Hashtbl.t = Hashtbl.create 16 in
-  let shape_sig_of accel =
-    match Hashtbl.find_opt shape_sigs accel with
-    | Some s -> s
-    | None ->
-      let s =
+  let shape_sig_of =
+    memo (fun accel ->
         match Registry.plan registry accel with
         | Some p -> Mapdb.shape_signature p
-        | None -> accel
-      in
-      Hashtbl.replace shape_sigs accel s;
-      s
+        | None -> accel)
   in
   (* Interned lazily: a run that never preempts registers no
      preemption metrics. *)
   let preempted_task_c = lazy (Obs.Counter.get "sysim.serving.preempted") in
   let preemption_c = lazy (Obs.Counter.get "sysim.serving.preemptions") in
-  let batcher : stask Batcher.t =
-    Batcher.create
-      ?tenant_of:(if multi then Some (fun st -> st.s_task.Genset.tenant) else None)
-      serving.batch
-  in
-  let router = Router.create ~indexed:cfg.indexed () in
+  let batcher : stask Batcher.t = Batcher.create serving.batch in
+  let router = Router.create () in
   let groups : (string, sgroup) Hashtbl.t = Hashtbl.create 8 in
   (* Group names ascending, maintained on creation (groups are never
-     destroyed) — the indexed shape's replacement for the
-     fold-and-sort over the hashtable. *)
+     destroyed).  Decisions iterate groups in this order, never in
+     Hashtbl order, to stay deterministic. *)
   let sorted_keys = ref [] in
   let insert_key k =
     let rec ins = function
@@ -1140,22 +1202,12 @@ and run_serving ~registry cfg serving =
   let starved : (string, unit) Hashtbl.t = Hashtbl.create 8 in
   let busy_count = ref 0 in
   let next_replica_id = ref 0 in
-  let completed = ref 0 in
-  let rejected = ref 0 in
-  let shed = ref 0 in
-  let preempted = ref 0 in
   let preemptions = ref 0 in
   let defrag_moves = ref 0 in
   let arrivals_in = ref 0 in
   let scale_ups = ref 0 in
   let scale_downs = ref 0 in
-  let latencies = ref [] in
-  let waits = ref [] in
-  let services = ref [] in
-  let slo_misses = ref 0 in
-  let makespan = ref 0.0 in
   let queued = ref 0 in
-  let peak_queue = ref 0 in
   let group_of accel =
     match Hashtbl.find_opt groups accel with
     | Some g -> g
@@ -1190,84 +1242,22 @@ and run_serving ~registry cfg serving =
       insert_key accel;
       g
   in
-  (* Decisions iterate groups in sorted-name order, never in Hashtbl
-     order, to stay deterministic.  The linear shape re-derives the
-     order per call (the pre-index cost profile); the indexed shape
-     reads the maintained list. *)
-  let group_keys () =
-    if cfg.indexed then !sorted_keys
-    else Hashtbl.fold (fun k _ acc -> k :: acc) groups [] |> List.sort compare
+  let replica_count () =
+    List.fold_left
+      (fun acc k -> acc + List.length (Hashtbl.find groups k).g_replicas)
+      0 !sorted_keys
   in
-  let batchq_len q = Queue.fold (fun acc b -> acc + List.length b) 0 q in
-  (* Optional scrape loop; the serving twin of the open-loop setup.
-     The autoscaler tick additionally samples its observed backlog
-     into [sysim.autoscale.backlog] (see the tick below). *)
-  let scrapes = ref 0 in
-  let sojourn_s = ref None in
-  let autoscale_backlog_s = ref None in
   let alerts =
-    Option.map
-      (fun tel ->
-        let engine = Alert.create tel.rules in
-        let iv = tel.scrape_interval_us in
-        (* Own the name: a previous run in this process may have
-           registered it with a different interval or capacity. *)
-        let mk kind name =
-          Series.remove name;
-          Series.create ~buckets:tel.series_buckets ~kind ~interval_us:iv name
-        in
-        let completed_s = mk Series.Rate "sysim.completed.rate" in
-        let rejected_s = mk Series.Rate "sysim.rejected.rate" in
-        let shed_s = mk Series.Rate "sysim.shed.rate" in
-        let slo_s = mk Series.Rate "sysim.slo_missed.rate" in
-        let queue_s = mk Series.Gauge "sysim.queue_depth" in
-        let replicas_s = mk Series.Gauge "sysim.replicas" in
-        sojourn_s := Some (mk (Series.Quantile 0.99) "sysim.sojourn_us.p99");
-        autoscale_backlog_s := Some (mk Series.Gauge "sysim.autoscale.backlog");
-        let tenant_series =
-          List.map
-            (fun (_, t) ->
-              let lbl = [ ("tenant", t.tt_name) ] in
-              let mk_l kind name =
-                Series.remove (Obs.Labels.key name lbl);
-                Series.create_labeled ~buckets:tel.series_buckets ~kind
-                  ~interval_us:iv name lbl
-              in
-              ( t,
-                mk_l Series.Rate "sysim.tenant.completed.rate",
-                ref 0,
-                mk_l Series.Rate "sysim.tenant.slo_missed.rate",
-                ref 0 ))
-            tallies
-        in
-        let lc = ref 0 and lr = ref 0 and lsh = ref 0 and ls = ref 0 in
-        start_scrape_loop sim ~interval_us:iv (fun ~now_us ->
-            incr scrapes;
-            Series.observe completed_s ~now_us (scrape_delta completed lc);
-            Series.observe rejected_s ~now_us (scrape_delta rejected lr);
-            Series.observe shed_s ~now_us (scrape_delta shed lsh);
-            Series.observe slo_s ~now_us (scrape_delta slo_misses ls);
-            Series.observe queue_s ~now_us (float_of_int !queued);
-            Series.observe replicas_s ~now_us
-              (float_of_int
-                 (List.fold_left
-                    (fun acc k ->
-                      acc + List.length (Hashtbl.find groups k).g_replicas)
-                    0 (group_keys ())));
-            List.iter
-              (fun (t, cs, lc', ss, ls') ->
-                Series.observe cs ~now_us (float_of_int (t.tt_completed - !lc'));
-                lc' := t.tt_completed;
-                Series.observe ss ~now_us (float_of_int (t.tt_slo_misses - !ls'));
-                ls' := t.tt_slo_misses)
-              tenant_series;
-            Alert.eval engine ~now_us);
-        engine)
-      cfg.telemetry
+    start_telemetry st
+      ~rate:("sysim.shed.rate", fun () -> st.shed)
+      ~queue_depth:(fun () -> !queued)
+      ~gauge:("sysim.replicas", replica_count)
   in
-  let find_replica g rid =
-    if cfg.indexed then Hashtbl.find g.g_by_id rid
-    else List.find (fun r -> r.r_id = rid) g.g_replicas
+  (* Sampled by the autoscaler tick, not by the scrape loop. *)
+  let autoscale_backlog_s =
+    Option.map
+      (fun tel -> own_series tel Series.Gauge "sysim.autoscale.backlog")
+      cfg.telemetry
   in
   let backlog_push g batch =
     Queue.add batch g.g_backlog;
@@ -1280,33 +1270,20 @@ and run_serving ~registry cfg serving =
     if Queue.is_empty g.g_backlog then Hashtbl.remove starved g.g_accel;
     b
   in
-  let reject_stask ~accel (st : stask) =
-    incr rejected;
+  let reject_stask ~accel (req : stask) =
     decr queued;
-    Obs.Counter.incr rejected_c;
-    (match tally_of st.s_task.Genset.tenant with
-    | Some t -> t.tt_rejected <- t.tt_rejected + 1
-    | None -> ());
     (* A rejected seq must not block its session's in-order stream. *)
-    (match (sessions, st.s_session) with
+    (match (sessions, req.s_session) with
     | Some stbl, Some sess ->
-      Session.skip stbl sess ~seq:st.s_seq ~now_us:(Sim.now sim)
+      Session.skip stbl sess ~seq:req.s_seq ~now_us:(Sim.now sim)
     | _ -> ());
-    Obs.Trace.task Obs.Trace.Reject st.s_task.Genset.task_id ~retries:0
-      ~label:accel
+    note_reject st req.s_task ~retries:0 ~label:accel
   in
   let reject_backlog g =
     Queue.iter (fun b -> List.iter (reject_stask ~accel:g.g_accel) b) g.g_backlog;
     Queue.clear g.g_backlog;
     g.g_backlog_tasks <- 0;
     Hashtbl.remove starved g.g_accel
-  in
-  let any_busy () =
-    if cfg.indexed then !busy_count > 0
-    else
-      Hashtbl.fold
-        (fun _ g acc -> acc || List.exists (fun r -> r.r_busy) g.g_replicas)
-        groups false
   in
   let is_idle r = (not r.r_busy) && Queue.is_empty r.r_queue in
   (* Longest-idle idle replica in any other group (tie: lowest replica
@@ -1326,7 +1303,7 @@ and run_serving ~registry cfg serving =
                 | Some (_, br) when br.r_idle_since <= r.r_idle_since -> best
                 | _ -> Some (g', r))
             best g'.g_replicas)
-      None (group_keys ())
+      None !sorted_keys
   in
   let remove_replica g r =
     Router.remove_replica router ~key:g.g_accel ~replica_id:r.r_id;
@@ -1378,8 +1355,8 @@ and run_serving ~registry cfg serving =
           Obs.Counter.incr (Obs.Counter.get "sysim.serving.reclaimed");
           remove_replica g' r;
           grow g ~allow_reclaim
-        | None -> if any_busy () then `Full else `Dead
-      else if any_busy () || g.g_replicas <> [] then `Full
+        | None -> if !busy_count > 0 then `Full else `Dead
+      else if !busy_count > 0 || g.g_replicas <> [] then `Full
       else if reclaim_candidate ~excluding:g.g_accel = None then `Dead
       else `Full
   in
@@ -1421,7 +1398,7 @@ and run_serving ~registry cfg serving =
                 | Some (bkey, _, _) when bkey <= key -> best
                 | _ -> Some (key, g', r))
               best g'.g_replicas)
-      None (group_keys ())
+      None !sorted_keys
   in
   (* Evict a victim replica: cancel its in-flight batch (those tasks
      are preempted losses, closing the per-tenant identity
@@ -1434,14 +1411,14 @@ and run_serving ~registry cfg serving =
       r.r_busy <- false;
       decr busy_count;
       List.iter
-        (fun (st : stask) ->
-          incr preempted;
+        (fun (req : stask) ->
+          st.preempted <- st.preempted + 1;
           Obs.Counter.incr (Lazy.force preempted_task_c);
-          (match (sessions, st.s_session) with
+          (match (sessions, req.s_session) with
           | Some stbl, Some sess ->
-            Session.skip stbl sess ~seq:st.s_seq ~now_us:now
+            Session.skip stbl sess ~seq:req.s_seq ~now_us:now
           | _ -> ());
-          match tally_of st.s_task.Genset.tenant with
+          match tally_of st req.s_task.Genset.tenant with
           | Some t -> t.tt_preempted <- t.tt_preempted + 1
           | None -> ())
         r.r_inflight;
@@ -1462,21 +1439,14 @@ and run_serving ~registry cfg serving =
      healthy cluster must never trigger an eviction — the freed space
      could not satisfy it anyway.  Probed once per accelerator on a
      scratch clone of the configured cluster and memoized. *)
-  let feasible_cache : (string, bool) Hashtbl.t = Hashtbl.create 8 in
-  let feasible accel =
-    match Hashtbl.find_opt feasible_cache accel with
-    | Some b -> b
-    | None ->
-      let scratch =
-        Runtime.create ~policy:cfg.policy
-          (Cluster.create ~kinds:cfg.cluster_kinds ())
-          registry
-      in
-      let b =
-        match Runtime.deploy scratch ~accel with Ok _ -> true | Error _ -> false
-      in
-      Hashtbl.replace feasible_cache accel b;
-      b
+  let feasible =
+    memo (fun accel ->
+        let scratch =
+          Runtime.create ~policy:cfg.policy
+            (Cluster.create ~kinds:cfg.cluster_kinds ())
+            registry
+        in
+        match Runtime.deploy scratch ~accel with Ok _ -> true | Error _ -> false)
   in
   (* Admission with preemption: when the mapper refuses and the
      demanding batch carries tenant priority, evict lower-priority
@@ -1508,16 +1478,11 @@ and run_serving ~registry cfg serving =
           grow_preempting g ~prio ~tried
         end)
   in
-  (* Route a batch onto a replica: router bookkeeping (plus per-tenant
-     attribution) and the queue append, with the group's assigned-task
-     counter kept in step. *)
+  (* Route a batch onto a replica: router bookkeeping and the queue
+     append, with the group's assigned-task counter kept in step. *)
   let assign g r batch =
     let n = List.length batch in
     Router.begin_work router ~key:g.g_accel ~replica_id:r.r_id n;
-    if multi then
-      List.iter
-        (fun st -> Router.note_routed router ~tenant:st.s_task.Genset.tenant 1)
-        batch;
     g.g_assigned_tasks <- g.g_assigned_tasks + n;
     Queue.add batch r.r_queue
   in
@@ -1551,42 +1516,40 @@ and run_serving ~registry cfg serving =
       let now = Sim.now sim in
       let d = r.r_depl in
       let node, kind = deployment_dims d in
-      let added = Network.added_latency_us cluster.Cluster.network in
+      let added = Network.added_latency_us st.cluster.Cluster.network in
       let reconfig = if r.r_fresh then d.Runtime.reconfig_us else 0.0 in
       r.r_fresh <- false;
       let n = List.length batch in
       let per_task =
         List.map
-          (fun st ->
+          (fun req ->
             float_of_int cfg.repeats_per_task
             *. service_latency_us ~policy:cfg.policy ~added_latency_us:added
-                 st.s_task.Genset.point d)
+                 req.s_task.Genset.point d)
           batch
       in
       (* Mapping-cache misses pay their compilation on the batch, like
          reconfiguration does; all-hit (or cacheless) batches add an
          exact 0.0, keeping service times bit-identical. *)
-      let compile = List.fold_left (fun a st -> a +. st.s_compile_us) 0.0 batch in
+      let compile = List.fold_left (fun a req -> a +. req.s_compile_us) 0.0 batch in
       let service = reconfig +. compile +. List.fold_left ( +. ) 0.0 per_task in
       List.iter2
-        (fun st svc ->
+        (fun req svc ->
           decr queued;
-          let id = st.s_task.Genset.task_id in
+          let id = req.s_task.Genset.task_id in
           Obs.Trace.task Obs.Trace.Deploy id ?node ~deployment:d.Runtime.id
             ~retries:0 ~label:g.g_accel;
           (* No retries in serving mode: per-attempt and end-to-end
              waits coincide. *)
-          let wait = now -. st.s_task.Genset.arrival_us in
-          waits := wait :: !waits;
-          Obs.Histogram.observe wait_h wait;
-          Obs.Histogram.observe wait_attempt_h
-            wait;
+          let wait = now -. req.s_task.Genset.arrival_us in
+          st.waits <- wait :: st.waits;
+          Obs.Histogram.observe st.wait_h wait;
+          Obs.Histogram.observe st.wait_attempt_h wait;
           (* Reconfiguration (and compilation) amortizes across the
              batch. *)
           let task_service = svc +. ((reconfig +. compile) /. float_of_int n) in
-          services := task_service :: !services;
-          Obs.Histogram.observe service_h
-            task_service;
+          st.services <- task_service :: st.services;
+          Obs.Histogram.observe st.service_h task_service;
           (match g.g_pt with
           | Some pt -> Autoscaler.observe_service pt task_service
           | None -> ());
@@ -1612,55 +1575,35 @@ and run_serving ~registry cfg serving =
              inline at [finished]; with sessions it routes through the
              in-order stream, so a held result is delivered (and
              timed) at the releasing event's clock. *)
-          let record (st : stask) svc ~finished =
-            incr completed;
-            Obs.Counter.incr completed_c;
+          let record (req : stask) svc ~finished =
             (match r.r_completed_c with
             | Some c -> Obs.Counter.incr c
             | None -> ());
-            let sojourn = finished -. st.s_task.Genset.arrival_us in
-            latencies := sojourn :: !latencies;
-            Obs.Histogram.observe sojourn_h
-              sojourn;
-            (match !sojourn_s with
-            | Some s -> Series.observe s ~now_us:finished sojourn
-            | None -> ());
-            Obs.Histogram.observe sojourn_kind_h sojourn;
-            Autoscaler.observe_sojourn g.g_tracker sojourn;
-            Obs.Trace.task Obs.Trace.Complete st.s_task.Genset.task_id ?node
-              ~deployment:d.Runtime.id ~retries:0 ~label:g.g_accel;
             let task_service = svc +. ((reconfig +. compile) /. float_of_int n) in
-            let deadline =
-              if st.s_deadline_us > 0.0 then st.s_deadline_us
+            let deadline_us =
+              if req.s_deadline_us > 0.0 then req.s_deadline_us
               else cfg.slo_multiplier *. task_service
             in
-            let missed = sojourn > deadline in
-            if missed then begin
-              incr slo_misses;
-              Obs.Counter.incr slo_miss_c
-            end;
-            makespan := Float.max !makespan finished;
-            match tally_of st.s_task.Genset.tenant with
-            | Some t ->
-              t.tt_completed <- t.tt_completed + 1;
-              t.tt_latencies <- sojourn :: t.tt_latencies;
-              if missed then t.tt_slo_misses <- t.tt_slo_misses + 1;
-              Obs.Counter.incr t.tt_completed_c
-            | None -> ()
+            let sojourn =
+              record_completion st ?node ~deployment:d.Runtime.id ~retries:0
+                ~label:g.g_accel ~kind_h:sojourn_kind_h ~finished ~deadline_us
+                req.s_task
+            in
+            Autoscaler.observe_sojourn g.g_tracker sojourn
           in
           (match sessions with
           | None ->
-            List.iter2 (fun st svc -> record st svc ~finished) batch per_task
+            List.iter2 (fun req svc -> record req svc ~finished) batch per_task
           | Some stbl ->
             List.iter2
-              (fun st svc ->
-                match st.s_session with
+              (fun req svc ->
+                match req.s_session with
                 | Some sess ->
-                  Session.complete stbl sess ~seq:st.s_seq ~now_us:finished
-                    (fun ~now_us -> record st svc ~finished:now_us)
-                | None -> record st svc ~finished)
+                  Session.complete stbl sess ~seq:req.s_seq ~now_us:finished
+                    (fun ~now_us -> record req svc ~finished:now_us)
+                | None -> record req svc ~finished)
               batch per_task);
-          makespan := Float.max !makespan finished;
+          st.makespan <- Float.max st.makespan finished;
           if Queue.is_empty r.r_queue && not (Queue.is_empty g.g_backlog)
           then assign g r (backlog_pop g);
           start_replica g r;
@@ -1668,28 +1611,19 @@ and run_serving ~registry cfg serving =
           end)
     end
   (* A completion anywhere may unblock a starved group: retry
-     bootstrap deploys for groups whose backlog has no replica.  The
-     indexed shape consults the maintained starved set — O(1) when
-     nothing is starved, O(starved log starved) otherwise — instead of
-     sweeping every group per completion. *)
+     bootstrap deploys for groups whose backlog has no replica.  Only
+     the maintained starved set is consulted — O(1) when nothing is
+     starved, O(starved log starved) otherwise. *)
   and pump_all () =
-    if cfg.indexed then begin
-      if Hashtbl.length starved > 0 then
-        Hashtbl.fold (fun k () acc -> k :: acc) starved []
-        |> List.sort compare
-        |> List.iter (fun k -> pump_group (Hashtbl.find groups k))
-    end
-    else
-      List.iter
-        (fun k ->
-          let g = Hashtbl.find groups k in
-          if not (Queue.is_empty g.g_backlog) then pump_group g)
-        (group_keys ())
+    if Hashtbl.length starved > 0 then
+      Hashtbl.fold (fun k () acc -> k :: acc) starved []
+      |> List.sort compare
+      |> List.iter (fun k -> pump_group (Hashtbl.find groups k))
   and pump_group g =
     if not (Queue.is_empty g.g_backlog) then begin
       match Router.pick router ~key:g.g_accel with
       | Some rid ->
-        let r = find_replica g rid in
+        let r = Hashtbl.find g.g_by_id rid in
         if is_idle r then begin
           assign g r (backlog_pop g);
           start_replica g r;
@@ -1701,10 +1635,6 @@ and run_serving ~registry cfg serving =
         | `Dead -> reject_backlog g
         | `Full -> ())
     end
-  in
-  let replica_alive g rid =
-    if cfg.indexed then Hashtbl.mem g.g_by_id rid
-    else List.exists (fun r -> r.r_id = rid) g.g_replicas
   in
   (* Sticky routing: a batch whose head belongs to a session goes back
      to the replica that served that session last (warm weights, warm
@@ -1718,7 +1648,7 @@ and run_serving ~registry cfg serving =
       match batch with
       | { s_session = Some sess; _ } :: _ -> (
         match Session.affinity sess ~accel:g.g_accel with
-        | Some rid when replica_alive g rid ->
+        | Some rid when Hashtbl.mem g.g_by_id rid ->
           Session.note_sticky stbl true;
           Some rid
         | _ -> (
@@ -1734,7 +1664,7 @@ and run_serving ~registry cfg serving =
     Obs.Counter.incr batches_c;
     match sticky_pick g batch with
     | Some rid ->
-      let r = find_replica g rid in
+      let r = Hashtbl.find g.g_by_id rid in
       assign g r batch;
       start_replica g r
     | None -> (
@@ -1789,8 +1719,9 @@ and run_serving ~registry cfg serving =
         (fun acc (c : Slo.class_spec) -> min acc c.priority)
         max_int (Slo.classes gate)
     in
-    let rec tick () =
-      if !completed + !rejected + !shed + !preempted < ntasks then begin
+    every sim ~interval_us:acfg.interval_us
+      ~while_:(fun () -> unfinished st)
+      (fun () ->
         let now = Sim.now sim in
         let capacity_bound = ref false in
         let total_backlog = ref 0 in
@@ -1798,15 +1729,7 @@ and run_serving ~registry cfg serving =
           (fun k ->
             let g = Hashtbl.find groups k in
             let backlog =
-              if cfg.indexed then
-                Batcher.pending batcher ~key:k + g.g_backlog_tasks
-                + g.g_assigned_tasks
-              else
-                Batcher.pending batcher ~key:k
-                + batchq_len g.g_backlog
-                + List.fold_left
-                    (fun acc r -> acc + batchq_len r.r_queue)
-                    0 g.g_replicas
+              Batcher.pending batcher ~key:k + g.g_backlog_tasks + g.g_assigned_tasks
             in
             total_backlog := !total_backlog + backlog;
             let replicas = List.length g.g_replicas in
@@ -1854,19 +1777,28 @@ and run_serving ~registry cfg serving =
               grow_n (max 1 (target - replicas))
             | Autoscaler.Scale_down -> scale_down g ~now
             | Autoscaler.Hold -> ())
-          (group_keys ());
+          !sorted_keys;
         (* Capacity-bound: shed the lowest-priority class at the gate
            until a tick passes without an unsatisfied scale-up. *)
         if !capacity_bound && Slo.classes gate <> [] then
           Slo.set_shed_below gate (min_priority () + 1)
         else Slo.set_shed_below gate min_int;
-        (match !autoscale_backlog_s with
+        match autoscale_backlog_s with
         | Some s -> Series.observe s ~now_us:now (float_of_int !total_backlog)
-        | None -> ());
-        Sim.schedule sim ~delay:acfg.interval_us tick
-      end
-    in
-    Sim.schedule sim ~delay:acfg.interval_us tick);
+        | None -> ()));
+  (* The defrag and session-expiry ticks must not keep the event queue
+     alive once no progress is possible: when every arrival has fired,
+     nothing is in flight and no batch is lingering, the remaining
+     backlog is permanently starved (e.g. its replica was preempted and
+     the fabric never frees up) and the run must drain so the leftovers
+     can be rejected. *)
+  let progressing () =
+    unfinished st
+    && not
+         (!arrivals_in >= st.ntasks
+         && !busy_count = 0
+         && List.for_all (fun k -> Batcher.pending batcher ~key:k = 0) !sorted_keys)
+  in
   (* Background defragmentation: a periodic tick that compacts idle
      replicas when the fleet is quiet (no backlog anywhere) and the
      fragmentation index crosses the policy threshold.  In-flight
@@ -1883,29 +1815,15 @@ and run_serving ~registry cfg serving =
             (fun r ->
               if is_idle r then Hashtbl.replace ids r.r_depl.Runtime.id ())
             (Hashtbl.find groups k).g_replicas)
-        (group_keys ());
+        !sorted_keys;
       ids
     in
     let quiet () =
       List.for_all
         (fun k -> Queue.is_empty (Hashtbl.find groups k).g_backlog)
-        (group_keys ())
+        !sorted_keys
     in
-    (* The tick must not keep the event queue alive once no progress
-       is possible — when every arrival has fired, nothing is in
-       flight and no batch is lingering, the remaining backlog is
-       permanently starved (e.g. its replica was preempted and the
-       fabric never frees up) and the run must drain so the leftovers
-       can be rejected. *)
-    let stalled () =
-      !arrivals_in >= ntasks && !busy_count = 0
-      && List.for_all
-           (fun k -> Batcher.pending batcher ~key:k = 0)
-           (group_keys ())
-    in
-    let rec dtick () =
-      if !completed + !rejected + !shed + !preempted < ntasks && not (stalled ())
-      then begin
+    every sim ~interval_us:dcfg.Defrag.interval_us ~while_:progressing (fun () ->
         if quiet () && Defrag.should_run dcfg runtime then begin
           let ids = idle_deployments () in
           let pass =
@@ -1915,123 +1833,85 @@ and run_serving ~registry cfg serving =
               dcfg runtime
           in
           defrag_moves := !defrag_moves + pass.Defrag.moved
-        end;
-        Sim.schedule sim ~delay:dcfg.Defrag.interval_us dtick
-      end
-    in
-    Sim.schedule sim ~delay:dcfg.Defrag.interval_us dtick);
+        end));
   (* Session idle expiry rides its own tick at the configured timeout
-     period.  The guard mirrors the autoscale / defrag ticks so a
-     drained (or permanently starved) run terminates instead of the
-     tick keeping the event queue alive. *)
+     period. *)
   (match (sessions, fe.sessions) with
   | Some stbl, Some scfg ->
-    let iv = scfg.Session.idle_timeout_us in
-    let stalled () =
-      !arrivals_in >= ntasks && !busy_count = 0
-      && List.for_all
-           (fun k -> Batcher.pending batcher ~key:k = 0)
-           (group_keys ())
-    in
-    let rec etick () =
-      if
-        !completed + !rejected + !shed + !preempted < ntasks
-        && not (stalled ())
-      then begin
-        ignore (Session.expire stbl ~now_us:(Sim.now sim));
-        Sim.schedule sim ~delay:iv etick
-      end
-    in
-    Sim.schedule sim ~delay:iv etick
+    every sim ~interval_us:scfg.Session.idle_timeout_us ~while_:progressing
+      (fun () -> ignore (Session.expire stbl ~now_us:(Sim.now sim)))
   | _ -> ());
-  List.iter
-    (fun (task : Genset.task) ->
-      Sim.schedule_at sim ~at:task.Genset.arrival_us (fun () ->
-          incr arrivals_in;
-          Obs.Counter.incr arrived_c;
-          let tally = tally_of task.Genset.tenant in
-          (match tally with
-          | Some t -> t.tt_arrived <- t.tt_arrived + 1
-          | None -> ());
-          let accel = accel_of_point task.Genset.point in
-          Obs.Trace.task Obs.Trace.Arrive task.Genset.task_id ~label:accel;
-          let now = Sim.now sim in
-          let cname = Sizes.name task.Genset.model_class in
-          let verdict =
-            if multi then
-              Slo.admit ~tenant:task.Genset.tenant gate ~class_name:cname
-                ~now_us:now
-            else Slo.admit gate ~class_name:cname ~now_us:now
-          in
-          match verdict with
-          | Slo.Shed_rate | Slo.Shed_priority | Slo.Shed_tenant ->
-            incr shed;
-            Obs.Counter.incr shed_c;
-            (match tally with
-            | Some t ->
-              t.tt_shed <- t.tt_shed + 1;
-              Obs.Counter.incr t.tt_shed_c
-            | None -> ());
-            Obs.Trace.task Obs.Trace.Reject task.Genset.task_id ~retries:0
-              ~label:accel
-          | Slo.Admitted -> (
-            (match tally with
-            | Some t -> t.tt_admitted <- t.tt_admitted + 1
-            | None -> ());
-            (* Front door: the request joins its client's session
-               stream (one session per tenant) and probes the
-               compiled-mapping cache — a miss pays [compile_us] of
-               mapping work on top of service, a hit pays nothing. *)
-            let sess =
-              Option.map
-                (fun stbl -> Session.touch stbl ~now_us:now task.Genset.tenant)
-                sessions
-            in
-            let seq = match sess with Some s -> Session.submit s | None -> 0 in
-            let compile_us =
-              match mapcache with
-              | None -> 0.0
-              | Some (mc, cost) -> (
-                match Mapcache.find mc (shape_sig_of accel) with
-                | Some () -> 0.0
-                | None ->
-                  Mapcache.put mc (shape_sig_of accel) ();
-                  cost)
-            in
-            let st =
-              {
-                s_task = task;
-                s_deadline_us =
-                  (match Slo.find gate cname with
-                  | Some c -> c.Slo.deadline_us
-                  | None -> 0.0);
-                s_session = sess;
-                s_seq = seq;
-                s_compile_us = compile_us;
-              }
-            in
-            incr queued;
-            peak_queue := max !peak_queue !queued;
-            Obs.Trace.task Obs.Trace.Queue task.Genset.task_id ~label:accel;
-            let g = group_of accel in
-            g.g_arrivals <- g.g_arrivals + 1;
-            (let p = prio_of task.Genset.tenant in
-             if p > g.g_priority then g.g_priority <- p);
-            match Batcher.add batcher ~key:accel ~now_us:now st with
-            | Batcher.Dispatch batch -> dispatch g batch
-            | Batcher.Opened deadline ->
-              Sim.schedule_at sim ~at:deadline (fun () ->
-                  match
-                    Batcher.flush_due batcher ~key:accel
-                      ~now_us:(Sim.now sim)
-                  with
-                  | [] -> ()
-                  | batch -> dispatch g batch)
-            | Batcher.Joined -> ())))
-    tasks;
-  let loop_t0 = Obs.wall_us () in
-  Sim.run sim;
-  let loop_wall_s = (Obs.wall_us () -. loop_t0) /. 1e6 in
+  schedule_arrivals st (fun task tally accel ->
+      incr arrivals_in;
+      let now = Sim.now sim in
+      let cname = Sizes.name task.Genset.model_class in
+      let verdict =
+        if multi then
+          Slo.admit ~tenant:task.Genset.tenant gate ~class_name:cname ~now_us:now
+        else Slo.admit gate ~class_name:cname ~now_us:now
+      in
+      match verdict with
+      | Slo.Shed_rate | Slo.Shed_priority | Slo.Shed_tenant ->
+        st.shed <- st.shed + 1;
+        Obs.Counter.incr shed_c;
+        (match tally with
+        | Some t ->
+          t.tt_shed <- t.tt_shed + 1;
+          Obs.Counter.incr t.tt_shed_c
+        | None -> ());
+        Obs.Trace.task Obs.Trace.Reject task.Genset.task_id ~retries:0 ~label:accel
+      | Slo.Admitted -> (
+        (match tally with
+        | Some t -> t.tt_admitted <- t.tt_admitted + 1
+        | None -> ());
+        (* Front door: the request joins its client's session stream
+           (one session per tenant) and probes the compiled-mapping
+           cache — a miss pays [compile_us] of mapping work on top of
+           service, a hit pays nothing. *)
+        let sess =
+          Option.map
+            (fun stbl -> Session.touch stbl ~now_us:now task.Genset.tenant)
+            sessions
+        in
+        let seq = match sess with Some s -> Session.submit s | None -> 0 in
+        let compile_us =
+          match mapcache with
+          | None -> 0.0
+          | Some (mc, cost) -> (
+            match Mapcache.find mc (shape_sig_of accel) with
+            | Some () -> 0.0
+            | None ->
+              Mapcache.put mc (shape_sig_of accel) ();
+              cost)
+        in
+        let req =
+          {
+            s_task = task;
+            s_deadline_us =
+              (match Slo.find gate cname with
+              | Some c -> c.Slo.deadline_us
+              | None -> 0.0);
+            s_session = sess;
+            s_seq = seq;
+            s_compile_us = compile_us;
+          }
+        in
+        incr queued;
+        st.peak_queue <- max st.peak_queue !queued;
+        Obs.Trace.task Obs.Trace.Queue task.Genset.task_id ~label:accel;
+        let g = group_of accel in
+        g.g_arrivals <- g.g_arrivals + 1;
+        (let p = prio_of task.Genset.tenant in
+         if p > g.g_priority then g.g_priority <- p);
+        match Batcher.add batcher ~key:accel ~now_us:now req with
+        | Batcher.Dispatch batch -> dispatch g batch
+        | Batcher.Opened deadline ->
+          Sim.schedule_at sim ~at:deadline (fun () ->
+              match Batcher.flush_due batcher ~key:accel ~now_us:(Sim.now sim) with
+              | [] -> ()
+              | batch -> dispatch g batch)
+        | Batcher.Joined -> ()));
+  let loop_wall_s = run_loop st in
   (* Whatever never reached a replica is rejected, and the warm pool
      is torn down, so every task and every placement is accounted
      for. *)
@@ -2042,73 +1922,27 @@ and run_serving ~registry cfg serving =
       reject_backlog g;
       List.iter
         (fun r ->
-          Queue.iter
-            (fun b -> List.iter (reject_stask ~accel:k) b)
-            r.r_queue;
+          Queue.iter (fun b -> List.iter (reject_stask ~accel:k) b) r.r_queue;
           Queue.clear r.r_queue;
           Runtime.undeploy runtime r.r_depl)
         g.g_replicas;
       g.g_replicas <- [])
-    (group_keys ());
-  let lost = ntasks - !completed - !rejected - !shed - !preempted in
-  if lost > 0 then Obs.Counter.add (Obs.Counter.get "sysim.tasks.lost") lost;
-  let mean xs = Mlv_util.Stats.mean xs in
-  let p50, p95, p99 = latency_percentiles !latencies in
-  let throughput =
-    if !makespan > 0.0 then float_of_int !completed /. (!makespan /. 1e6)
-    else 0.0
-  in
+    !sorted_keys;
+  let count f = match sessions with Some s -> f s | None -> 0 in
+  let mapcount f = match mapcache with Some (mc, _) -> f mc | None -> 0 in
   {
-    completed = !completed;
-    retried = 0;
-    rejected = !rejected;
-    shed = !shed;
-    lost;
-    makespan_us = !makespan;
-    throughput_per_s = throughput;
-    goodput_per_s =
-      (if !makespan > 0.0 then
-         float_of_int (!completed - !slo_misses) /. (!makespan /. 1e6)
-       else 0.0);
-    fault_downtime_us = 0.0;
-    fault_free_throughput_per_s = throughput;
-    mean_latency_us = mean !latencies;
-    mean_wait_us = mean !waits;
-    wait_attempts = List.length !waits;
-    mean_wait_per_attempt_us = mean !waits;
-    mean_service_us = mean !services;
-    p50_latency_us = p50;
-    p95_latency_us = p95;
-    p99_latency_us = p99;
-    peak_queue = !peak_queue;
-    latencies_us = List.rev !latencies;
-    slo_misses = !slo_misses;
+    (finish st ~loop_wall_s ~alerts) with
     batches = Batcher.batches batcher;
     scale_ups = !scale_ups;
     scale_downs = !scale_downs;
-    preempted = !preempted;
     preemptions = !preemptions;
     defrag_moves = !defrag_moves;
-    cache_hits = fst (cache_stats runtime);
-    cache_misses = snd (cache_stats runtime);
-    sessions_opened =
-      (match sessions with Some s -> Session.opened s | None -> 0);
-    sessions_expired =
-      (match sessions with Some s -> Session.expired s | None -> 0);
-    sticky_hits =
-      (match sessions with Some s -> Session.sticky_hits s | None -> 0);
-    sticky_misses =
-      (match sessions with Some s -> Session.sticky_misses s | None -> 0);
-    held_results = (match sessions with Some s -> Session.held s | None -> 0);
-    mapcache_hits =
-      (match mapcache with Some (mc, _) -> Mapcache.hits mc | None -> 0);
-    mapcache_misses =
-      (match mapcache with Some (mc, _) -> Mapcache.misses mc | None -> 0);
-    mapcache_evictions =
-      (match mapcache with Some (mc, _) -> Mapcache.evictions mc | None -> 0);
-    per_tenant = tenant_stats_of ~makespan_us:!makespan tallies;
-    scrapes = !scrapes;
-    alert_transitions =
-      (match alerts with Some e -> Alert.transitions e | None -> []);
-    loop_wall_s;
+    sessions_opened = count Session.opened;
+    sessions_expired = count Session.expired;
+    sticky_hits = count Session.sticky_hits;
+    sticky_misses = count Session.sticky_misses;
+    held_results = count Session.held;
+    mapcache_hits = mapcount Mapcache.hits;
+    mapcache_misses = mapcount Mapcache.misses;
+    mapcache_evictions = mapcount Mapcache.evictions;
   }

@@ -173,12 +173,6 @@ type config = {
           {!Genset.generate_tenants} and [tasks] is ignored in favour
           of the per-tenant counts; [[]] (the default) keeps the
           single-stream generators *)
-  indexed : bool;
-      (** [false] selects the pre-index linear data shapes — list
-          flight table, fold-per-pick router, per-completion group
-          sweeps — as the differential oracle for bench/scale.ml.
-          Both shapes produce bit-identical results; the default
-          [true] is the O(1)/O(log n) per-event hot path. *)
   bitstream_cache : int option;
       (** capacity of a {!Mlv_vital.Bitstream.Cache} installed on the
           runtime: repeat deployments of a cached (accelerator,

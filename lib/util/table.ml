@@ -1,12 +1,11 @@
 type align = Left | Right
-type row = Cells of string list | Sep
 
 type t = {
   title : string option;
   headers : string list;
   ncols : int;
-  mutable aligns : align array;
-  mutable rows : row list; (* reversed *)
+  aligns : align array;
+  mutable rows : string list list; (* reversed *)
 }
 
 let create ?title headers =
@@ -15,14 +14,10 @@ let create ?title headers =
   if ncols > 0 then aligns.(0) <- Left;
   { title; headers; ncols; aligns; rows = [] }
 
-let set_align t col align = t.aligns.(col) <- align
-
 let add_row t cells =
   if List.length cells <> t.ncols then
     invalid_arg "Table.add_row: arity mismatch";
-  t.rows <- Cells cells :: t.rows
-
-let add_sep t = t.rows <- Sep :: t.rows
+  t.rows <- cells :: t.rows
 
 let pad align width s =
   let n = String.length s in
@@ -39,7 +34,7 @@ let render t =
     List.iteri (fun i c -> widths.(i) <- max widths.(i) (String.length c)) cells
   in
   measure t.headers;
-  List.iter (function Cells c -> measure c | Sep -> ()) rows;
+  List.iter measure rows;
   let buf = Buffer.create 256 in
   let hline () =
     Buffer.add_char buf '+';
@@ -68,7 +63,7 @@ let render t =
   hline ();
   emit t.headers;
   hline ();
-  List.iter (function Cells c -> emit c | Sep -> hline ()) rows;
+  List.iter emit rows;
   hline ();
   Buffer.contents buf
 

@@ -6,7 +6,6 @@ module Config = Mlv_accel.Config
 module Resource_model = Mlv_accel.Resource_model
 module Rtl_gen = Mlv_accel.Rtl_gen
 module Perf = Mlv_accel.Perf
-module Sync_module = Mlv_accel.Sync_module
 module Device = Mlv_fpga.Device
 module Resource = Mlv_fpga.Resource
 module Design = Mlv_rtl.Design
@@ -245,31 +244,6 @@ let test_perf_sync_read_blocks () =
   in
   Alcotest.(check bool) "arrival delays" true (lat 50.0 > lat 0.0 +. 40.0)
 
-(* ---------------- Sync module ---------------- *)
-
-let test_sync_module_rtl_valid () =
-  let p = Sync_module.make ~sync_base:100_000 () in
-  let m = Sync_module.rtl p in
-  let d = Design.of_modules [ m ] in
-  Alcotest.(check (list string)) "valid" [] (Design.validate d);
-  Alcotest.(check bool) "basic" true (Ast.is_basic m)
-
-let test_sync_module_resources_small () =
-  let p = Sync_module.make ~sync_base:100_000 () in
-  let r = Sync_module.resources p in
-  (* Much smaller than a tile engine: that is why scale-down is cheap. *)
-  let tile = Resource_model.tile_resources vu37p in
-  Alcotest.(check bool) "fraction of a tile" true
-    (r.Resource.luts * 5 < tile.Resource.luts);
-  Alcotest.(check bool) "has a buffer" true (r.Resource.bram_kb > 0)
-
-let test_sync_module_validation () =
-  Alcotest.(check bool) "bad base" true
-    (try
-       ignore (Sync_module.make ~sync_base:0 ());
-       false
-     with Invalid_argument _ -> true)
-
 (* Property: accelerator resources are monotone in tile count. *)
 let prop_resources_monotone =
   QCheck.Test.make ~name:"resources monotone in tiles" ~count:30
@@ -323,11 +297,5 @@ let () =
           Alcotest.test_case "pattern-oblivious worse" `Quick test_perf_pattern_oblivious_worse;
           Alcotest.test_case "weight streaming penalty" `Quick test_perf_weight_streaming_penalty;
           Alcotest.test_case "sync arrival" `Quick test_perf_sync_read_blocks;
-        ] );
-      ( "sync_module",
-        [
-          Alcotest.test_case "rtl valid" `Quick test_sync_module_rtl_valid;
-          Alcotest.test_case "resources small" `Quick test_sync_module_resources_small;
-          Alcotest.test_case "validation" `Quick test_sync_module_validation;
         ] );
     ]

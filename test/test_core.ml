@@ -3,7 +3,6 @@
    scale-out optimizer. *)
 
 module SB = Mlv_core.Soft_block
-module Pattern = Mlv_core.Pattern
 module Decompose = Mlv_core.Decompose
 module Partition = Mlv_core.Partition
 module Mapping = Mlv_core.Mapping
@@ -24,6 +23,39 @@ module Program = Mlv_isa.Program
 module Instr = Mlv_isa.Instr
 module Rng = Mlv_util.Rng
 module Obs = Mlv_obs.Obs
+
+(* Composition-pattern combinators the fixtures build soft-block trees
+   with: [replicate] puts [n] copies side by side, [reduction] is a
+   [levels]-deep pipeline of [fan_in]-ary data-parallel stages (the
+   last a single unit), [map_pipeline] is [ways] parallel copies of a
+   stage pipeline. *)
+module Pattern = struct
+  let replicate ~name n block =
+    if n < 1 then invalid_arg "Pattern.replicate: n must be >= 1";
+    SB.data_par ~name (List.init n (fun _ -> block))
+
+  let int_pow base e =
+    let rec go acc e = if e = 0 then acc else go (acc * base) (e - 1) in
+    go 1 e
+
+  let reduction ~name ~fan_in ~levels leaf_gen =
+    if fan_in < 2 then invalid_arg "Pattern.reduction: fan_in must be >= 2";
+    if levels < 1 then invalid_arg "Pattern.reduction: levels must be >= 1";
+    let stage level =
+      let width = int_pow fan_in (levels - 1 - level) in
+      if width = 1 then leaf_gen ~level ~index:0
+      else
+        SB.data_par
+          ~name:(Printf.sprintf "%s_l%d" name level)
+          (List.init width (fun index -> leaf_gen ~level ~index))
+    in
+    if levels = 1 then stage 0 else SB.pipeline ~name (List.init levels stage)
+
+  let map_pipeline ~name ~ways stages =
+    if ways < 1 then invalid_arg "Pattern.map_pipeline: ways must be >= 1";
+    let pipe i = SB.pipeline ~name:(Printf.sprintf "%s_pipe%d" name i) stages in
+    SB.data_par ~name (List.init ways pipe)
+end
 
 let parse_ok src =
   match Parser.parse_string src with

@@ -6,6 +6,7 @@
 module Slo = Mlv_sched.Slo
 module Batcher = Mlv_sched.Batcher
 module Router = Mlv_sched.Router
+module Router_linear = Mlv_oracle.Router_linear
 module Autoscaler = Mlv_sched.Autoscaler
 module Sysim = Mlv_sysim.Sysim
 module Runtime = Mlv_core.Runtime
@@ -232,9 +233,7 @@ let test_batch_validation () =
    drain. *)
 let test_batch_incremental_counters () =
   let b =
-    Batcher.create
-      ~tenant_of:(fun (t, _) -> t)
-      (Batcher.config ~max_batch:3 ~max_linger_us:100.0 ())
+    Batcher.create (Batcher.config ~max_batch:3 ~max_linger_us:100.0 ())
   in
   let recount () =
     let keys = Batcher.keys b in
@@ -252,7 +251,6 @@ let test_batch_incremental_counters () =
   ignore (Batcher.add b ~key:"y" ~now_us:2.0 ("a", 3));
   recount ();
   Alcotest.(check (list string)) "keys sorted" [ "x"; "y" ] (Batcher.keys b);
-  Alcotest.(check int) "per-tenant pending" 2 (Batcher.pending_of_tenant b "a");
   (match Batcher.add b ~key:"x" ~now_us:3.0 ("c", 4) with
   | Batcher.Dispatch batch -> Alcotest.(check int) "full batch" 3 (List.length batch)
   | _ -> Alcotest.fail "third request should fill and dispatch");
@@ -262,9 +260,7 @@ let test_batch_incremental_counters () =
     (List.length (Batcher.flush_due b ~key:"y" ~now_us:500.0));
   recount ();
   Alcotest.(check int) "all drained" 0 (Batcher.total_pending b);
-  Alcotest.(check int) "no nonempty kinds" 0 (Batcher.nonempty_kinds b);
-  Alcotest.(check int) "tenant accounting drained" 0
-    (Batcher.pending_of_tenant b "a")
+  Alcotest.(check int) "no nonempty kinds" 0 (Batcher.nonempty_kinds b)
 
 (* ---------------- weighted routing ---------------- *)
 
@@ -300,13 +296,13 @@ let test_router_validation () =
   Router.end_work r ~key:"k" ~replica_id:0 5;
   Alcotest.(check int) "clamped" 0 (Router.outstanding r ~key:"k" ~replica_id:0)
 
-(* Differential: the min-heap shape must agree with the pre-index
-   linear-scan shape on every pick, count and listing over a random
+(* Differential: the min-heap router must agree with the linear-scan
+   oracle on every pick, count and listing over a random
    add/remove/work sequence. *)
 let test_router_shapes_differential () =
   let rng = Mlv_util.Rng.create 23 in
-  let idx = Router.create ~indexed:true () in
-  let lin = Router.create ~indexed:false () in
+  let idx = Router.create () in
+  let lin = Router_linear.create () in
   let keys = [| "a"; "b"; "c" |] in
   let next_id = ref 0 in
   let live = ref [] in
@@ -318,50 +314,50 @@ let test_router_shapes_differential () =
       incr next_id;
       let weight = 1.0 +. float_of_int (Mlv_util.Rng.int rng 3) in
       Router.add_replica idx ~key ~replica_id:id ~weight;
-      Router.add_replica lin ~key ~replica_id:id ~weight;
+      Router_linear.add_replica lin ~key ~replica_id:id ~weight;
       live := (key, id) :: !live
     end
     else if r < 0.42 then begin
       let n = Mlv_util.Rng.int rng (List.length !live) in
       let key, id = List.nth !live n in
       Router.remove_replica idx ~key ~replica_id:id;
-      Router.remove_replica lin ~key ~replica_id:id;
+      Router_linear.remove_replica lin ~key ~replica_id:id;
       live := List.filteri (fun j _ -> j <> n) !live
     end
     else begin
       let key = keys.(Mlv_util.Rng.int rng 3) in
       let pi = Router.pick idx ~key in
-      Alcotest.(check (option int)) "pick agrees" (Router.pick lin ~key) pi;
+      Alcotest.(check (option int)) "pick agrees" (Router_linear.pick lin ~key) pi;
       match pi with
       | None -> ()
       | Some id ->
         let n = 1 + Mlv_util.Rng.int rng 4 in
         if Mlv_util.Rng.float rng 1.0 < 0.7 then begin
           Router.begin_work idx ~key ~replica_id:id n;
-          Router.begin_work lin ~key ~replica_id:id n
+          Router_linear.begin_work lin ~key ~replica_id:id n
         end
         else begin
           Router.end_work idx ~key ~replica_id:id n;
-          Router.end_work lin ~key ~replica_id:id n
+          Router_linear.end_work lin ~key ~replica_id:id n
         end
     end;
     Alcotest.(check int) "total outstanding agrees"
-      (Router.total_outstanding lin)
+      (Router_linear.total_outstanding lin)
       (Router.total_outstanding idx);
-    Alcotest.(check (list string)) "keys agree" (Router.keys lin)
+    Alcotest.(check (list string)) "keys agree" (Router_linear.keys lin)
       (Router.keys idx)
   done;
-  Alcotest.(check int) "dispatched agrees" (Router.dispatched lin)
+  Alcotest.(check int) "dispatched agrees" (Router_linear.dispatched lin)
     (Router.dispatched idx);
   Array.iter
     (fun key ->
       Alcotest.(check (list int)) ("replicas of " ^ key)
-        (Router.replicas lin ~key) (Router.replicas idx ~key);
+        (Router_linear.replicas lin ~key) (Router.replicas idx ~key);
       List.iter
         (fun id ->
           Alcotest.(check int)
             (Printf.sprintf "outstanding %s/%d" key id)
-            (Router.outstanding lin ~key ~replica_id:id)
+            (Router_linear.outstanding lin ~key ~replica_id:id)
             (Router.outstanding idx ~key ~replica_id:id))
         (Router.replicas idx ~key))
     keys

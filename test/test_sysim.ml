@@ -130,6 +130,7 @@ let test_instance_within () =
 (* ---------------- flight table ---------------- *)
 
 module Flight_table = Mlv_sysim.Flight_table
+module Flight_table_linear = Mlv_oracle.Flight_table_linear
 module Rng = Mlv_util.Rng
 
 let test_flight_table_basics () =
@@ -162,44 +163,45 @@ let test_flight_table_differential () =
   (* random add/remove/crash sequence: the indexed table and the
      linear oracle must expose identical contents at every step *)
   let rng = Rng.create 17 in
-  let idx : int Flight_table.t = Flight_table.create ~indexed:true () in
-  let lin : int Flight_table.t = Flight_table.create ~indexed:false () in
+  let idx : int Flight_table.t = Flight_table.create () in
+  let lin : int Flight_table_linear.t = Flight_table_linear.create () in
   let entries = ref [] in
   let values t = List.map Flight_table.value (Flight_table.to_list t) in
+  let values_lin t =
+    List.map Flight_table_linear.value (Flight_table_linear.to_list t)
+  in
   for i = 0 to 499 do
     let r = Rng.float rng 1.0 in
     if r < 0.55 || !entries = [] then begin
       let nodes = [ Rng.int rng 8; Rng.int rng 8 ] in
       let ei = Flight_table.add idx i ~nodes in
-      let el = Flight_table.add lin i ~nodes in
+      let el = Flight_table_linear.add lin i ~nodes in
       entries := (ei, el) :: !entries
     end
     else if r < 0.8 then begin
       let n = Rng.int rng (List.length !entries) in
       let ei, el = List.nth !entries n in
       Flight_table.remove idx ei;
-      Flight_table.remove lin el;
+      Flight_table_linear.remove lin el;
       entries := List.filteri (fun j _ -> j <> n) !entries
     end
     else begin
       let node = Rng.int rng 8 in
-      let sorted es = List.map Flight_table.value es |> List.sort compare in
+      let sorted value es = List.map value es |> List.sort compare in
       Alcotest.(check (list int))
         "crash hits agree"
-        (sorted (Flight_table.take_node lin node))
-        (sorted (Flight_table.take_node idx node));
+        (sorted Flight_table_linear.value (Flight_table_linear.take_node lin node))
+        (sorted Flight_table.value (Flight_table.take_node idx node));
       entries := List.filter (fun (ei, _) -> Flight_table.live ei) !entries
     end;
-    Alcotest.(check int) "sizes agree" (Flight_table.size lin)
+    Alcotest.(check int) "sizes agree" (Flight_table_linear.size lin)
       (Flight_table.size idx);
-    Alcotest.(check (list int)) "contents agree" (values lin) (values idx)
+    Alcotest.(check (list int)) "contents agree" (values_lin lin) (values idx)
   done
 
-(* ---------------- multi-tenant differential ---------------- *)
+(* ---------------- multi-tenant runs ---------------- *)
 
-let scrub r = { r with Sysim.loop_wall_s = 0.0 }
-
-let tenant_cfg ~indexed ~serving =
+let tenant_cfg ~serving =
   let cfg =
     Sysim.default_config ~policy:Runtime.greedy ~composition:Genset.table1.(6)
   in
@@ -225,7 +227,6 @@ let tenant_cfg ~indexed ~serving =
           ~arrival:(Genset.Exponential { mean_us = 500.0 })
           "c";
       ];
-    indexed;
     serving;
   }
 
@@ -246,24 +247,248 @@ let check_tenant_accounting (r : Sysim.result) =
   Alcotest.(check int) "tenant rejects sum to the run's" r.Sysim.rejected
     (sum (fun t -> t.Sysim.tn_rejected))
 
-let test_multi_tenant_open_loop_shapes_identical () =
-  let go indexed =
-    Sysim.run ~registry:(Lazy.force registry) (tenant_cfg ~indexed ~serving:None)
-  in
-  let i = go true and l = go false in
-  Alcotest.(check bool) "indexed = linear, bit for bit" true (scrub i = scrub l);
-  check_tenant_accounting i
+(* ---------------- golden results ---------------- *)
 
-let test_multi_tenant_serving_shapes_identical () =
-  let serving =
-    Some { Sysim.default_serving with Sysim.tenant_pool = Some (20_000.0, 12) }
+(* A sharing-insensitive fingerprint of every deterministic result
+   field (loop_wall_s is wall time and left out): ints in decimal,
+   floats as exact hex, lists element by element, hashed to hex. *)
+let fingerprint (r : Sysim.result) =
+  let b = Buffer.create 4096 in
+  let i n = Printf.bprintf b "%d " n in
+  let f x = Printf.bprintf b "%h " x in
+  let s x = Printf.bprintf b "%S " x in
+  i r.Sysim.completed;
+  i r.Sysim.retried;
+  i r.Sysim.rejected;
+  i r.Sysim.shed;
+  i r.Sysim.lost;
+  f r.Sysim.makespan_us;
+  f r.Sysim.throughput_per_s;
+  f r.Sysim.goodput_per_s;
+  f r.Sysim.fault_downtime_us;
+  f r.Sysim.fault_free_throughput_per_s;
+  f r.Sysim.mean_latency_us;
+  f r.Sysim.mean_wait_us;
+  i r.Sysim.wait_attempts;
+  f r.Sysim.mean_wait_per_attempt_us;
+  f r.Sysim.mean_service_us;
+  f r.Sysim.p50_latency_us;
+  f r.Sysim.p95_latency_us;
+  f r.Sysim.p99_latency_us;
+  i r.Sysim.peak_queue;
+  List.iter f r.Sysim.latencies_us;
+  i r.Sysim.slo_misses;
+  i r.Sysim.batches;
+  i r.Sysim.scale_ups;
+  i r.Sysim.scale_downs;
+  i r.Sysim.preempted;
+  i r.Sysim.preemptions;
+  i r.Sysim.defrag_moves;
+  i r.Sysim.cache_hits;
+  i r.Sysim.cache_misses;
+  i r.Sysim.sessions_opened;
+  i r.Sysim.sessions_expired;
+  i r.Sysim.sticky_hits;
+  i r.Sysim.sticky_misses;
+  i r.Sysim.held_results;
+  i r.Sysim.mapcache_hits;
+  i r.Sysim.mapcache_misses;
+  i r.Sysim.mapcache_evictions;
+  List.iter
+    (fun (t : Sysim.tenant_stats) ->
+      s t.Sysim.tn_name;
+      i t.Sysim.tn_arrived;
+      i t.Sysim.tn_admitted;
+      i t.Sysim.tn_shed;
+      i t.Sysim.tn_completed;
+      i t.Sysim.tn_rejected;
+      i t.Sysim.tn_preempted_lost;
+      i t.Sysim.tn_slo_misses;
+      f t.Sysim.tn_goodput_per_s;
+      f t.Sysim.tn_p99_latency_us)
+    r.Sysim.per_tenant;
+  i r.Sysim.scrapes;
+  List.iter
+    (fun (tr : Mlv_obs.Alert.transition) ->
+      s tr.Mlv_obs.Alert.rule_name;
+      s (Mlv_obs.Alert.event_name tr.Mlv_obs.Alert.event);
+      f tr.Mlv_obs.Alert.at_us;
+      f tr.Mlv_obs.Alert.value)
+    r.Sysim.alert_transitions;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* The golden values were taken from the engines as they stood before
+   the config.indexed shapes were retired and the open-loop and
+   serving engines were folded onto one skeleton (the tenant runs from
+   the linear shapes).  Any drift in a simulated decision changes
+   them. *)
+let check_golden name golden r =
+  Alcotest.(check string) (name ^ " matches the golden fingerprint") golden
+    (fingerprint r)
+
+let tenant_serving =
+  Some { Sysim.default_serving with Sysim.tenant_pool = Some (20_000.0, 12) }
+
+let test_golden_tenant_open_loop () =
+  let r =
+    Sysim.run ~registry:(Lazy.force registry)
+      (tenant_cfg ~serving:None)
   in
-  let go indexed =
-    Sysim.run ~registry:(Lazy.force registry) (tenant_cfg ~indexed ~serving)
+  check_golden "open loop" "4f0eae9008488dd12f79b706b6c421ea" r;
+  check_tenant_accounting r
+
+let test_golden_tenant_serving () =
+  let r =
+    Sysim.run ~registry:(Lazy.force registry)
+      (tenant_cfg ~serving:tenant_serving)
   in
-  let i = go true and l = go false in
-  Alcotest.(check bool) "indexed = linear, bit for bit" true (scrub i = scrub l);
-  check_tenant_accounting i
+  check_golden "serving" "347296c3d417d52e17016c31b54ffd31" r;
+  check_tenant_accounting r
+
+module Batcher = Mlv_sched.Batcher
+module Autoscaler = Mlv_sched.Autoscaler
+module Session = Mlv_serve.Session
+module Defrag = Mlv_core.Defrag
+module Alert = Mlv_obs.Alert
+
+(* Every serving feature at once on a small fleet: prioritized tenants
+   behind a fair-share pool, preemption, defragmentation, a bitstream
+   cache, sessions, a mapping cache, predictive autoscaling, diurnal
+   arrivals with a flash crowd, and telemetry with a burn-rate rule. *)
+let all_features_cfg () =
+  let cfg =
+    Sysim.default_config ~policy:Runtime.greedy ~composition:Genset.table1.(6)
+  in
+  let diurnal =
+    Genset.Diurnal
+      {
+        period_us = 20_000.0;
+        trough_mean_us = 4_000.0;
+        peak_mean_us = 500.0;
+        flash_start_us = 5_000.0;
+        flash_us = 3_000.0;
+        flash_mean_us = 150.0;
+      }
+  in
+  (* t0 outranks the others and asks for large models, so its groups
+     differ from theirs and a full fabric makes it preempt. *)
+  let tenant i =
+    if i = 0 then
+      Genset.tenant_load ~weight:2.0 ~priority:1
+        ~composition:{ Genset.s = 0.0; m = 0.2; l = 0.8 }
+        ~tasks:30 ~arrival:diurnal "t0"
+    else
+      Genset.tenant_load
+        ~composition:{ Genset.s = 0.7; m = 0.3; l = 0.0 }
+        ~tasks:40 ~arrival:diurnal (Printf.sprintf "t%d" i)
+  in
+  let burn =
+    {
+      Alert.name = "t0-burn";
+      condition =
+        Alert.Burn_rate
+          {
+            bad = "sysim.tenant.slo_missed.rate{tenant=t0}";
+            total = "sysim.tenant.completed.rate{tenant=t0}";
+            objective = 0.9;
+            factor = 1.0;
+            long_window = 6;
+            short_window = 2;
+          };
+      for_intervals = 1;
+      cooldown_intervals = 2;
+    }
+  in
+  {
+    cfg with
+    Sysim.seed = 9;
+    repeats_per_task = 4;
+    slo_multiplier = 4.0;
+    cluster_kinds =
+      Mlv_fpga.Device.[ XCVU37P; XCVU37P; XCKU115; XCKU115 ];
+    tenants = List.init 3 tenant;
+    bitstream_cache = Some 8;
+    serving =
+      Some
+        {
+          Sysim.default_serving with
+          Sysim.batch = Batcher.config ~max_batch:3 ~max_linger_us:200.0 ();
+          autoscale =
+            Some
+              (Autoscaler.config ~max_replicas:6 ~idle_timeout_us:2_000.0 ());
+          tenant_pool = Some (6_000.0, 10);
+          preempt = true;
+          defrag =
+            Some
+              (Defrag.config ~frag_threshold:0.05 ~min_node_fill:0.9
+                 ~interval_us:1_000.0 ());
+        };
+    frontend =
+      Some
+        {
+          Sysim.sessions = Some (Session.config ~idle_timeout_us:1_000.0 ());
+          mapping_cache = Some (2, 400.0);
+          predict = Some Autoscaler.default_predict;
+        };
+    telemetry =
+      Some
+        {
+          Sysim.default_telemetry with
+          Sysim.scrape_interval_us = 500.0;
+          rules = [ burn ];
+        };
+  }
+
+let test_golden_all_features () =
+  let go () = Sysim.run ~registry:(Lazy.force registry) (all_features_cfg ()) in
+  let r = go () in
+  check_golden "all features" "e709ef8420fa10eb46ec6f77ebf998cb" r;
+  Alcotest.(check string) "run twice, same fingerprint" (fingerprint r)
+    (fingerprint (go ()));
+  List.iter
+    (fun (t : Sysim.tenant_stats) ->
+      Alcotest.(check int)
+        (t.Sysim.tn_name ^ ": arrived = completed + shed + rejected + preempted")
+        t.Sysim.tn_arrived
+        (t.Sysim.tn_completed + t.Sysim.tn_shed + t.Sysim.tn_rejected
+       + t.Sysim.tn_preempted_lost))
+    r.Sysim.per_tenant;
+  Alcotest.(check int) "none lost" 0 r.Sysim.lost
+
+let test_golden_open_loop_faults () =
+  let plan =
+    match Mlv_cluster.Fault_plan.of_string "crash@3000:1,restore@9000:1" with
+    | Ok p -> p
+    | Error e -> Alcotest.fail e
+  in
+  let rules =
+    match Alert.of_string "outage gt sysim.nodes_down 0 1 1 0" with
+    | Ok r -> r
+    | Error e -> Alcotest.fail e
+  in
+  let cfg =
+    Sysim.default_config ~policy:Runtime.greedy ~composition:Genset.table1.(7)
+  in
+  let r =
+    Sysim.run ~registry:(Lazy.force registry)
+      {
+        cfg with
+        Sysim.tasks = 40;
+        faults = Some (Sysim.default_faults plan);
+        telemetry =
+          Some
+            {
+              Sysim.default_telemetry with
+              Sysim.scrape_interval_us = 1_000.0;
+              rules;
+            };
+      }
+  in
+  check_golden "open loop with faults" "517386726ed97903548a537f5f5dc985" r;
+  Alcotest.(check bool) "the crash interrupted work" true (r.Sysim.retried > 0);
+  Alcotest.(check bool) "the outage alert fired" true
+    (r.Sysim.alert_transitions <> []);
+  Alcotest.(check int) "none lost" 0 r.Sysim.lost
 
 (* ---------------- fault injection ---------------- *)
 
@@ -469,10 +694,14 @@ let () =
         ] );
       ( "tenants",
         [
-          Alcotest.test_case "open-loop shapes identical" `Quick
-            test_multi_tenant_open_loop_shapes_identical;
-          Alcotest.test_case "serving shapes identical" `Quick
-            test_multi_tenant_serving_shapes_identical;
+          Alcotest.test_case "open-loop golden" `Quick test_golden_tenant_open_loop;
+          Alcotest.test_case "serving golden" `Quick test_golden_tenant_serving;
+        ] );
+      ( "golden",
+        [
+          Alcotest.test_case "all serving features" `Quick test_golden_all_features;
+          Alcotest.test_case "open loop with faults" `Quick
+            test_golden_open_loop_faults;
         ] );
       ( "faults",
         [
