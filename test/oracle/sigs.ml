@@ -1,0 +1,44 @@
+(* The interface each linear oracle shares with the structure it
+   mirrors, with its types abstract so that both fit it: bench/scale
+   times the two shapes through these. *)
+
+module type ROUTER = sig
+  type t
+
+  val create : unit -> t
+
+  (** @raise Invalid_argument on a non-positive weight or duplicate id
+      under the same key. *)
+  val add_replica : t -> key:string -> replica_id:int -> weight:float -> unit
+
+  val remove_replica : t -> key:string -> replica_id:int -> unit
+  val pick : t -> key:string -> int option
+  val begin_work : t -> key:string -> replica_id:int -> int -> unit
+  val end_work : t -> key:string -> replica_id:int -> int -> unit
+  val outstanding : t -> key:string -> replica_id:int -> int
+  val total_outstanding : t -> int
+  val replicas : t -> key:string -> int list
+  val keys : t -> string list
+  val dispatched : t -> int
+end
+
+module type FLIGHT_TABLE = sig
+  type 'a entry
+  type 'a t
+
+  val create : unit -> 'a t
+  val add : 'a t -> 'a -> nodes:int list -> 'a entry
+
+  (** Idempotent. *)
+  val remove : 'a t -> 'a entry -> unit
+
+  (** Removes and returns every live flight with a piece on the node,
+      in unspecified order. *)
+  val take_node : 'a t -> int -> 'a entry list
+
+  val value : 'a entry -> 'a
+  val size : 'a t -> int
+
+  (** Entries newest-first (insertion order). *)
+  val to_list : 'a t -> 'a entry list
+end
