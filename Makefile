@@ -9,6 +9,10 @@
 
 all: build
 
+# Smoke runs write their JSON here (gitignored), never over the
+# committed reference artifacts that bench-diff compares against.
+SMOKE_DIR := _smoke
+
 build:
 	dune build @all
 
@@ -24,15 +28,17 @@ fmt:
 test:
 	dune runtest
 
-# The one-stop pre-commit gate.  bench-place-smoke keeps the indexed
-# placement engine honest (it must never regress below the naive scan)
-# without the cost of the full 1k-node run; bench-faults-smoke asserts
+# The one-stop pre-commit gate; it writes no tracked file.
+# bench-place-smoke asserts the placement index chooses exactly what the
+# scan oracle chooses at every deploy of a churn run, and is not slower
+# than it, without the cost of the full 1k-node run; bench-faults-smoke asserts
 # zero lost tasks under a single-crash fault plan; bench-trace-smoke
 # asserts the lifecycle-trace export is valid JSON whose event counts
 # close against the run's own accounting; bench-sched-smoke asserts the
 # autoscaled serving loop never regresses the static p99 and that every
 # request is accounted for; bench-sim-smoke asserts the timing-wheel
-# engine is bit-identical to the heap oracle and at least as fast;
+# event queue is bit-identical to the heap test oracle and at least as
+# fast;
 # bench-scale-smoke asserts the serving run reproduces the golden
 # digest captured from the pre-index linear shapes, that the router
 # and in-flight table agree with their linear test oracles, that the
@@ -51,12 +57,15 @@ test:
 # leave results bit-identical, that the cache clears 90% hits on a
 # repeat-heavy trace, that session accounting closes, and that the
 # predictive autoscaler beats the reactive one on the same replayed
-# flash-crowd trace (with a determinism re-run); bench-diff guards the
-# committed smoke artifacts against order-of-magnitude throughput
-# cliffs.
+# flash-crowd trace (with a determinism re-run); bench-diff compares the
+# smoke runs' throughput against the committed smoke artifacts, a guard
+# against order-of-magnitude cliffs.
 check: build fmt test bench-place-smoke bench-faults-smoke bench-trace-smoke \
 	bench-sched-smoke bench-sim-smoke bench-scale-smoke bench-defrag-smoke \
 	bench-watch-smoke bench-serve-smoke bench-diff
+
+$(SMOKE_DIR):
+	mkdir -p $@
 
 # Regenerates every table/figure and leaves BENCH_obs.json (the
 # observability registry of the run) next to the console output.
@@ -64,16 +73,20 @@ bench:
 	dune exec bench/main.exe
 
 # Placement-churn microbenchmark (paper §2.3 system controller at
-# fleet scale): 1k-node heterogeneous cluster, asserts the indexed
-# engine's deploy throughput is ≥5× the naive snapshot scan.
+# fleet scale): deploy/undeploy/fail/restore churn on a 1k-node
+# heterogeneous cluster.  At every deploy the snapshot-scan test oracle
+# chooses on the same state and must choose what the deploy placed;
+# asserts the churn runs ≥5× faster than it would with the scan's
+# choices in place of the deploys (whose controller loads the scan
+# side is spared, so the ratio understates the allocator speedup).
 bench-place:
 	dune exec bench/place.exe -- --nodes 1000 --ops 4000 --assert-speedup 5
 
 # Small, fast configuration for `make check`: same differential churn,
 # only asserts the index is not slower than the scan.
-bench-place-smoke:
+bench-place-smoke: | $(SMOKE_DIR)
 	dune exec bench/place.exe -- --nodes 64 --ops 400 \
-	  --out BENCH_place_smoke.json --assert-speedup 1
+	  --out $(SMOKE_DIR)/BENCH_place_smoke.json --assert-speedup 1
 
 # Availability sweep under injected node faults; writes
 # BENCH_faults.json (per-scenario completed/retried/rejected/lost and
@@ -108,19 +121,20 @@ bench-sched:
 bench-sched-smoke:
 	dune exec bench/main.exe -- sched-smoke
 
-# Discrete-event engine microbenchmark: 1M events through the heap and
-# timing-wheel engines behind the same Sim interface; asserts the order
-# digests are bit-identical and the wheel is ≥10× faster, and writes
-# BENCH_sim.json (events/s, allocation words/event, gap percentiles).
+# Event-queue microbenchmark: 1M events through the timing-wheel Sim
+# and its binary-heap test oracle behind one SIM signature; asserts the
+# order digests are bit-identical and the wheel is ≥10× faster, and
+# writes BENCH_sim.json (events/s, allocation words/event, gap
+# percentiles).
 bench-sim:
 	dune exec bench/sim.exe -- --assert-speedup 10
 
 # Fast variant for `make check`: same bit-identity assertion, only
 # requires the wheel not be slower than the heap (wall-clock ratios on
 # a shared machine are too noisy for a tight bound at this size).
-bench-sim-smoke:
+bench-sim-smoke: | $(SMOKE_DIR)
 	dune exec bench/sim.exe -- --events 100000 --pending 20000 --reps 2 \
-	  --out BENCH_sim_smoke.json --assert-speedup 1
+	  --out $(SMOKE_DIR)/BENCH_sim_smoke.json --assert-speedup 1
 
 # Datacenter-scale serving benchmark: ~1M tasks from three tenants at
 # 10k nodes (golden digest), a 100k-node run (sub-quadratic scaling),
@@ -136,8 +150,8 @@ bench-scale:
 # golden digest, hot-path agreement with the oracles, the
 # tenant-isolation invariant, and allocation-free counters — no
 # wall-clock floor at this size.
-bench-scale-smoke:
-	dune exec bench/scale.exe -- --smoke --out BENCH_scale_smoke.json
+bench-scale-smoke: | $(SMOKE_DIR)
+	dune exec bench/scale.exe -- --smoke --out $(SMOKE_DIR)/BENCH_scale_smoke.json
 
 # Defragmentation / preemption / bitstream-cache benchmark: a one-week
 # deploy/undeploy churn trace with and without the background
@@ -150,8 +164,8 @@ bench-defrag:
 
 # Fast variant for `make check`: 2k churn steps / 30 tasks per tenant,
 # same assertions.
-bench-defrag-smoke:
-	dune exec bench/defrag.exe -- --smoke --out BENCH_defrag_smoke.json
+bench-defrag-smoke: | $(SMOKE_DIR)
+	dune exec bench/defrag.exe -- --smoke --out $(SMOKE_DIR)/BENCH_defrag_smoke.json
 
 # Streaming-telemetry benchmark: alert detection latency on injected
 # outage windows, false positives on a fault-free trace, burn-rate
@@ -164,8 +178,8 @@ bench-watch:
 # Fast variant for `make check`: same bit-identity, detection-latency
 # and false-positive assertions; reports overhead without asserting it
 # (short runs are wall-clock noise).
-bench-watch-smoke:
-	dune exec bench/watch.exe -- --smoke --out BENCH_watch_smoke.json
+bench-watch-smoke: | $(SMOKE_DIR)
+	dune exec bench/watch.exe -- --smoke --out $(SMOKE_DIR)/BENCH_watch_smoke.json
 
 # Serving front-door benchmark: trace record/replay round-trip
 # fidelity, mapping-cache hit rate and latency economics, session
@@ -177,36 +191,31 @@ bench-serve:
 	dune exec bench/serve.exe -- --out BENCH_serve.json
 
 # Fast variant for `make check`: 400 tasks, same assertions.
-bench-serve-smoke:
-	dune exec bench/serve.exe -- --smoke --out BENCH_serve_smoke.json
+bench-serve-smoke: | $(SMOKE_DIR)
+	dune exec bench/serve.exe -- --smoke --out $(SMOKE_DIR)/BENCH_serve_smoke.json
 
-# Regression guard: regenerate the cheap smoke artifacts under /tmp
-# and compare their throughput-like keys against the committed ones.
-# Wall-clock keys (deploys/s, events/s, tasks/s) get a 75% budget —
-# short runs on a shared machine, especially back-to-back inside
-# `make check`, routinely swing 2×; the guard is for
-# order-of-magnitude cliffs (an accidentally quadratic path), not
+# Regression guard: compare the throughput-like keys of the smoke runs
+# (in $(SMOKE_DIR)) against the committed smoke artifacts, which no
+# target rewrites.  Wall-clock keys (deploys/s, events/s, tasks/s) get
+# a 75% budget — short runs on a shared machine, especially
+# back-to-back inside `make check`, routinely swing 2×; the guard is
+# for order-of-magnitude cliffs (an accidentally quadratic path), not
 # percent-level noise.  The serve key is goodput on the *sim* clock,
 # fully deterministic, so it gets a tight 1% budget.
-bench-diff: build
-	dune exec bench/place.exe -- --nodes 64 --ops 400 \
-	  --out /tmp/BENCH_place_smoke.json --assert-speedup 1
-	dune exec bench/sim.exe -- --events 100000 --pending 20000 --reps 2 \
-	  --out /tmp/BENCH_sim_smoke.json --assert-speedup 1
-	dune exec bench/scale.exe -- --smoke --out /tmp/BENCH_scale_smoke.json
-	dune exec bench/serve.exe -- --smoke --out /tmp/BENCH_serve_smoke.json
+bench-diff: bench-place-smoke bench-sim-smoke bench-scale-smoke bench-serve-smoke
 	dune exec bench/benchdiff.exe -- --ref BENCH_place_smoke.json \
-	  --new /tmp/BENCH_place_smoke.json --key indexed.deploys_per_s \
+	  --new $(SMOKE_DIR)/BENCH_place_smoke.json --key indexed.deploys_per_s \
 	  --max-regress 75
 	dune exec bench/benchdiff.exe -- --ref BENCH_sim_smoke.json \
-	  --new /tmp/BENCH_sim_smoke.json --key wheel.events_per_s \
+	  --new $(SMOKE_DIR)/BENCH_sim_smoke.json --key wheel.events_per_s \
 	  --max-regress 75
 	dune exec bench/benchdiff.exe -- --ref BENCH_scale_smoke.json \
-	  --new /tmp/BENCH_scale_smoke.json --key indexed.tasks_per_s \
+	  --new $(SMOKE_DIR)/BENCH_scale_smoke.json --key indexed.tasks_per_s \
 	  --max-regress 75
 	dune exec bench/benchdiff.exe -- --ref BENCH_serve_smoke.json \
-	  --new /tmp/BENCH_serve_smoke.json --key predictive.goodput_per_s \
+	  --new $(SMOKE_DIR)/BENCH_serve_smoke.json --key predictive.goodput_per_s \
 	  --max-regress 1
 
 clean:
 	dune clean
+	rm -rf $(SMOKE_DIR)

@@ -1,13 +1,13 @@
 (* Discrete-event engine microbenchmark: a hold-model workload (pop
    the earliest event, schedule a successor) drives ≥1M events through
-   the binary-heap and timing-wheel engines behind the same [Sim]
-   interface.  Delays and prefill times are drawn into arrays before
+   the timing-wheel [Sim] and its binary-heap test oracle
+   ([Mlv_oracle.Sim_heap]) behind the same [SIM] interface.  Delays and prefill times are drawn into arrays before
    the clock starts, so the measured loop is pure engine cost and the
    two engines consume the identical event stream.
 
    Each run folds every popped timestamp into an order digest; the
    engines must agree on it bit-for-bit (the same differential
-   contract test/test_sim_engine.ml enforces on the sysim smokes).
+   contract test/test_sim_engine.ml enforces on small cases).
    Inter-event gap percentiles are tracked with the streaming P²
    estimator (Stats.P2) — O(1) memory over a million samples, no
    per-sample storage.
@@ -29,6 +29,7 @@
    `make check`. *)
 
 module Sim = Mlv_cluster.Sim
+module Sim_heap = Mlv_oracle.Sim_heap
 module Rng = Mlv_util.Rng
 module Stats = Mlv_util.Stats
 module Obs = Mlv_obs.Obs
@@ -45,7 +46,7 @@ type outcome = {
   gap_p99_us : float;
 }
 
-let run_engine (engine : Sim.engine) ~events ~pending ~seed =
+let run_engine (name, (module S : Mlv_oracle.Sigs.SIM)) ~events ~pending ~seed =
   (* Pre-draw the randomness so the measured loop never touches the
      RNG (SplitMix64 boxes an int64 per draw, which would pollute the
      words/event accounting identically for both engines but hide the
@@ -59,7 +60,7 @@ let run_engine (engine : Sim.engine) ~events ~pending ~seed =
     Array.init spawn_budget (fun _ -> Rng.exponential rng ~mean:horizon)
   in
   Obs.reset ();
-  let sim = Sim.create ~engine () in
+  let sim = S.create () in
   let spawned = ref 0 in
   let digest = ref 0 in
   let last = ref 0.0 in
@@ -69,7 +70,7 @@ let run_engine (engine : Sim.engine) ~events ~pending ~seed =
      allocation would otherwise dominate both engines equally. *)
   let events_seen = ref 0 in
   let rec handler () =
-    let now = Sim.now sim in
+    let now = S.now sim in
     (* Fold the raw IEEE bits into the digest: order-sensitive and
        exact, without the hashing cost of [Hashtbl.hash] per event. *)
     digest := (!digest * 31) + Int64.to_int (Int64.bits_of_float now);
@@ -85,7 +86,7 @@ let run_engine (engine : Sim.engine) ~events ~pending ~seed =
     if !spawned < spawn_budget then begin
       let d = delays.(!spawned) in
       incr spawned;
-      Sim.schedule sim ~delay:d handler
+      S.schedule sim ~delay:d handler
     end
   in
   Gc.full_major ();
@@ -93,21 +94,21 @@ let run_engine (engine : Sim.engine) ~events ~pending ~seed =
   let words0 = Gc.allocated_bytes () /. word_bytes in
   let t0 = Unix.gettimeofday () in
   for i = 0 to prefill - 1 do
-    Sim.schedule_at sim ~at:prefill_at.(i) handler
+    S.schedule_at sim ~at:prefill_at.(i) handler
   done;
-  Sim.run sim;
+  S.run sim;
   let wall_s = Unix.gettimeofday () -. t0 in
   let words1 = Gc.allocated_bytes () /. word_bytes in
-  let processed = Sim.events_processed sim in
-  let final_now = Sim.now sim in
-  Sim.release sim;
+  let processed = S.events_processed sim in
+  let final_now = S.now sim in
+  S.release sim;
   if processed <> events then begin
-    Printf.eprintf "FAIL: %s processed %d events, expected %d\n"
-      (Sim.engine_name engine) processed events;
+    Printf.eprintf "FAIL: %s processed %d events, expected %d\n" name processed
+      events;
     exit 1
   end;
   {
-    engine = Sim.engine_name engine;
+    engine = name;
     events = processed;
     wall_s;
     events_per_s = (if wall_s > 0.0 then float_of_int processed /. wall_s else 0.0);
@@ -143,7 +144,7 @@ let best_of engine ~events ~pending ~seed ~reps =
       || o.final_now_us <> !best.final_now_us
     then begin
       Printf.eprintf "FAIL: %s engine is not deterministic across reps\n"
-        (Sim.engine_name engine);
+        (fst engine);
       exit 1
     end;
     if o.events_per_s > !best.events_per_s then best := o
@@ -179,10 +180,12 @@ let () =
   Printf.printf "hold model: %d events, %d pending, seed %d, best of %d\n%!"
     !events !pending !seed !reps;
   let heap =
-    best_of Sim.Heap ~events:!events ~pending:!pending ~seed:!seed ~reps:!reps
+    best_of ("heap", (module Sim_heap : Mlv_oracle.Sigs.SIM)) ~events:!events
+      ~pending:!pending ~seed:!seed ~reps:!reps
   in
   let wheel =
-    best_of Sim.Wheel ~events:!events ~pending:!pending ~seed:!seed ~reps:!reps
+    best_of ("wheel", (module Sim : Mlv_oracle.Sigs.SIM)) ~events:!events
+      ~pending:!pending ~seed:!seed ~reps:!reps
   in
   let speedup =
     if heap.events_per_s > 0.0 then wheel.events_per_s /. heap.events_per_s

@@ -1,27 +1,8 @@
-module Pqueue = Mlv_util.Pqueue
 module Wheel = Mlv_util.Timing_wheel
 module Obs = Mlv_obs.Obs
 
-type engine = Heap | Wheel
-
-let engine_name = function Heap -> "heap" | Wheel -> "wheel"
-
-let engine_of_string = function
-  | "heap" -> Some Heap
-  | "wheel" -> Some Wheel
-  | _ -> None
-
-(* The wheel is the default: the heap is kept as a differential
-   oracle (same discipline as naive-vs-indexed placement) and for the
-   microbenchmark baseline. *)
-let default = ref Wheel
-let set_default_engine e = default := e
-let default_engine () = !default
-
-type queue = Q_heap of (unit -> unit) Pqueue.t | Q_wheel of Wheel.t
-
 type t = {
-  queue : queue;
+  queue : Wheel.t;
   now : float ref;
       (* a float ref is an all-float record, so stores stay unboxed;
          a [mutable now : float] field in this mixed record would box
@@ -34,15 +15,11 @@ type t = {
          [release] can unregister exactly this simulator *)
 }
 
-let create ?engine () =
-  let engine = match engine with Some e -> e | None -> !default in
+let create () =
   let now = ref 0.0 in
   let t =
     {
-      queue =
-        (match engine with
-        | Heap -> Q_heap (Pqueue.create ())
-        | Wheel -> Q_wheel (Wheel.create ()));
+      queue = Wheel.create ();
       now;
       processed = 0;
       events_counter = Obs.Counter.get "sim.events_processed";
@@ -55,8 +32,6 @@ let create ?engine () =
   Obs.set_sim_clock t.clock;
   t
 
-let engine t = match t.queue with Q_heap _ -> Heap | Q_wheel _ -> Wheel
-
 (* Without this, the last simulator's clock closure (and the whole
    sim state it captures) stays registered forever, keeping the state
    live and stamping stale sim times onto spans of later, unrelated
@@ -65,78 +40,44 @@ let release t = Obs.clear_sim_clock_of t.clock
 
 let now t = !(t.now)
 
-let push t at f =
-  match t.queue with
-  | Q_heap q -> Pqueue.push q at f
-  | Q_wheel w -> Wheel.push w ~at f
-
 let schedule t ~delay f =
   if delay < 0.0 then invalid_arg "Sim.schedule: negative delay";
   Obs.Counter.incr t.scheduled_counter;
-  push t (!(t.now) +. delay) f
+  Wheel.push t.queue ~at:(!(t.now) +. delay) f
 
 let schedule_at t ~at f =
   if at < !(t.now) then invalid_arg "Sim.schedule_at: time in the past";
   Obs.Counter.incr t.scheduled_counter;
-  push t at f
+  Wheel.push t.queue ~at f
 
-let fire t time f =
-  t.now := time;
+(* Fire the earliest event.  [pop_fire] writes the timestamp straight
+   into the [now] ref and hands back the thunk: no option, tuple or
+   float box on the per-event path. *)
+let fire t =
+  let f = Wheel.pop_fire t.queue ~into:t.now in
   t.processed <- t.processed + 1;
   Obs.Counter.incr t.events_counter;
   f ()
 
 let step t =
-  match t.queue with
-  | Q_heap q -> (
-    match Pqueue.pop q with
-    | None -> false
-    | Some (time, f) ->
-      fire t time f;
-      true)
-  | Q_wheel w ->
-    if Wheel.is_empty w then false
-    else begin
-      (* [pop_fire] writes the timestamp straight into the [now] ref
-         and hands back the thunk: no option, tuple or float box on
-         the per-event path. *)
-      let f = Wheel.pop_fire w ~into:t.now in
-      t.processed <- t.processed + 1;
-      Obs.Counter.incr t.events_counter;
-      f ();
-      true
-    end
+  if Wheel.is_empty t.queue then false
+  else begin
+    fire t;
+    true
+  end
 
-let pending t =
-  match t.queue with Q_heap q -> Pqueue.length q | Q_wheel w -> Wheel.length w
+let pending t = Wheel.length t.queue
 
 (* Earliest pending timestamp, [infinity] when empty; allocation-free
    (no option boxing), which matters in the [run] loop. *)
-let next_time t =
-  match t.queue with
-  | Q_heap q -> Pqueue.peek_prio q
-  | Q_wheel w -> Wheel.next_time w
-
-(* Drain the wheel without going through [step]'s queue dispatch: one
-   variant match per run instead of one per event. *)
-let drain_wheel t w =
-  let events = t.events_counter in
-  while not (Wheel.is_empty w) do
-    let f = Wheel.pop_fire w ~into:t.now in
-    t.processed <- t.processed + 1;
-    Obs.Counter.incr events;
-    f ()
-  done
+let next_time t = Wheel.next_time t.queue
 
 let run ?until t =
   (match until with
-  | None -> (
-    match t.queue with
-    | Q_wheel w -> drain_wheel t w
-    | Q_heap _ -> while step t do () done)
+  | None -> while not (Wheel.is_empty t.queue) do fire t done
   | Some limit ->
-    while pending t > 0 && next_time t <= limit do
-      ignore (step t)
+    while (not (Wheel.is_empty t.queue)) && Wheel.next_time t.queue <= limit do
+      fire t
     done);
   (* The clock always reaches the limit, whether the queue drained or
      the next event lies beyond it; otherwise utilization windows and

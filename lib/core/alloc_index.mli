@@ -1,7 +1,7 @@
 (** Cluster capacity index: the system controller's incremental view
     of every node's free virtual blocks (paper §2.3).
 
-    The naive allocator re-snapshots the whole cluster
+    A scan allocator re-snapshots the whole cluster
     ([Array.init n Node.free_vbs]) and linear-scans every node per
     piece, per device option, per kind filter and per level on every
     deployment — O(n) work repeated hundreds of times per request at
@@ -18,12 +18,13 @@
     the transactional {!reserve}/{!rollback} API so a failed branch
     leaves the index untouched.
 
-    Selection is deliberately bit-compatible with the naive scan:
+    Selection is deliberately bit-compatible with that scan:
     best-fit returns the node with the fewest free blocks ≥ the
     demand, lowest node id on ties; first-fit returns the lowest node
     id with enough free blocks; whole-device variants consider only
     nodes whose every block is free.  The differential tests in
-    [test_place.ml] assert this equivalence across all policies. *)
+    [test_place.ml] assert this equivalence across all policies
+    against the scan oracle ([test/oracle/placement_scan.ml]). *)
 
 open Mlv_fpga
 

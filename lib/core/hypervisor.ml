@@ -622,9 +622,7 @@ let handle t line =
       Runtime.restore_node t.runtime n;
       "ok")
   | [ "index" ] ->
-    Printf.sprintf "ok indexed=%b consistent=%b"
-      (Runtime.indexed t.runtime)
-      (Runtime.index_consistent t.runtime)
+    Printf.sprintf "ok consistent=%b" (Runtime.index_consistent t.runtime)
   | [ "metrics" ] -> do_metrics ()
   | [ "metrics"; "json" ] -> "ok " ^ Obs.json_string ()
   | [ "trace"; sub ] -> do_trace sub

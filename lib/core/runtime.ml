@@ -1,7 +1,6 @@
 open Mlv_fpga
 module Cluster = Mlv_cluster.Cluster
 module Node = Mlv_cluster.Node
-module Sim = Mlv_cluster.Sim
 module Controller = Mlv_vital.Controller
 module Bitstream = Mlv_vital.Bitstream
 module Obs = Mlv_obs.Obs
@@ -57,7 +56,7 @@ type t = {
   cluster : Cluster.t;
   registry : Registry.t;
   policy : policy;
-  index : Alloc_index.t option;
+  index : Alloc_index.t;
   cache : Bitstream.Cache.t option;
       (* bitstream staging cache: when present, every controller load
          is re-priced through it (hit = amortized reconfiguration);
@@ -68,12 +67,12 @@ type t = {
   failed : (int, unit) Hashtbl.t;
 }
 
-let create ?(policy = greedy) ?(indexed = true) ?cache cluster registry =
+let create ?(policy = greedy) ?cache cluster registry =
   {
     cluster;
     registry;
     policy;
-    index = (if indexed then Some (Alloc_index.build cluster) else None);
+    index = Alloc_index.build cluster;
     cache;
     live = [];
     next_deploy_id = 0;
@@ -86,16 +85,13 @@ let cluster t = t.cluster
 let policy t = t.policy
 let registry t = t.registry
 let deployments t = t.live
-let indexed t = t.index <> None
 let bitstream_cache t = t.cache
 
-let index_consistent t =
-  match t.index with None -> true | Some ix -> Alloc_index.consistent ix
+let index_consistent t = Alloc_index.consistent t.index
 
 (* Every real controller load/unload must re-file the node in the
    capacity index (the index mirrors the controllers). *)
-let sync_node t id =
-  match t.index with Some ix -> Alloc_index.refresh ix id | None -> ()
+let sync_node t id = Alloc_index.refresh t.index id
 
 let unload_placement t p =
   Controller.unload (Cluster.node t.cluster p.node_id).Node.controller p.handle;
@@ -114,66 +110,13 @@ let reload_placements t placements =
       | Error msg -> failwith ("Runtime: rollback reload failed: " ^ msg))
     placements
 
-(* Tentative assignment of pieces (already in allocation order — the
-   plan presorts them biggest-first) to nodes against a snapshot of
-   free virtual blocks: the pre-index O(n)-per-step path, kept behind
-   [~indexed:false] for differential testing. *)
-let try_assign_naive t ~target_kind (pieces : Mapdb.piece_plan list) =
-  let n = Cluster.node_count t.cluster in
-  let free = Array.init n (fun i -> Node.free_vbs (Cluster.node t.cluster i)) in
-  let total = Array.init n (fun i -> Node.total_vbs (Cluster.node t.cluster i)) in
-  let choose_node (bs : Bitstream.t) =
-    let need =
-      if t.policy.whole_device then
-        (* whole-device granularity: demand an empty device *)
-        fun i -> free.(i) = total.(i) && free.(i) >= bs.Bitstream.vbs
-      else fun i -> free.(i) >= bs.Bitstream.vbs
-    in
-    let candidates =
-      List.filter
-        (fun i ->
-          (not (Hashtbl.mem t.failed i))
-          && Device.equal_kind (Cluster.node t.cluster i).Node.kind bs.Bitstream.device
-          && need i)
-        (List.init n Fun.id)
-    in
-    match candidates with
-    | [] -> None
-    | first :: _ ->
-      if t.policy.best_fit then
-        Some
-          (List.fold_left
-             (fun best i -> if free.(i) < free.(best) then i else best)
-             first candidates)
-      else Some first
-  in
-  let rec assign acc = function
-    | [] -> Some (List.rev acc)
-    | (pp : Mapdb.piece_plan) :: rest -> (
-      let rec try_options = function
-        | [] -> None
-        | (_, bs) :: more -> (
-          match choose_node bs with
-          | Some node ->
-            let vbs =
-              if t.policy.whole_device then total.(node) else bs.Bitstream.vbs
-            in
-            free.(node) <- free.(node) - vbs;
-            (match assign ((node, bs) :: acc) rest with
-            | Some _ as ok -> ok
-            | None ->
-              free.(node) <- free.(node) + vbs;
-              try_options more)
-          | None -> try_options more)
-      in
-      try_options (Mapdb.options pp ~kind:target_kind))
-  in
-  assign [] pieces
-
-(* Same search over the incremental capacity index: candidate
-   selection is one bucket scan, tentative allocations are
-   transactional so backtracking leaves the index untouched. *)
-let try_assign_indexed t ix ~target_kind (pieces : Mapdb.piece_plan list) =
+(* Tentative assignment of pieces (already in allocation order: the
+   plan presorts them biggest-first) over the incremental capacity
+   index: candidate selection is one bucket scan, tentative
+   allocations are transactional so backtracking leaves the index
+   untouched. *)
+let try_assign t ~target_kind (pieces : Mapdb.piece_plan list) =
+  let ix = t.index in
   let choose =
     if t.policy.best_fit then Alloc_index.best_fit else Alloc_index.first_fit
   in
@@ -206,11 +149,6 @@ let try_assign_indexed t ix ~target_kind (pieces : Mapdb.piece_plan list) =
       try_options (Mapdb.options pp ~kind:target_kind))
   in
   assign [] pieces
-
-let try_assign t ~target_kind pieces =
-  match t.index with
-  | Some ix -> try_assign_indexed t ix ~target_kind pieces
-  | None -> try_assign_naive t ~target_kind pieces
 
 let perform t accel assignment =
   let reconfig = ref 0.0 in
@@ -379,7 +317,7 @@ let undeploy t d =
   Obs.Counter.incr (Obs.Counter.get "runtime.undeploy")
 
 (* ------------------------------------------------------------------ *)
-(* Fault handling: node failure, health, migration, retry              *)
+(* Fault handling: node failure, health, migration                     *)
 (* ------------------------------------------------------------------ *)
 
 (* Marking a node failed removes it from the allocators' candidate
@@ -392,7 +330,7 @@ let mark_node_failed (t : t) node_id =
     invalid_arg (Printf.sprintf "Runtime.mark_node_failed: node %d out of range" node_id);
   if not (Hashtbl.mem t.failed node_id) then begin
     Hashtbl.replace t.failed node_id ();
-    (match t.index with Some ix -> Alloc_index.mark_failed ix node_id | None -> ());
+    Alloc_index.mark_failed t.index node_id;
     Obs.Counter.incr (Obs.Counter.get "runtime.node_failed")
   end
 
@@ -435,32 +373,6 @@ let migrate ?(force = false) t d =
       | Error _ as e ->
         Obs.Counter.incr (Obs.Counter.get "runtime.migrate.fail");
         e)
-
-(* Deploy with capped exponential backoff over the cluster's DES
-   clock: a refused request retries after base, 2·base, 4·base, …
-   (capped), so transient capacity loss — a failed node awaiting
-   restore, a full cluster awaiting departures — resolves without the
-   caller polling. *)
-let deploy_with_retry t ~accel ?(max_retries = 3) ?(base_backoff_us = 100.0)
-    ?(max_backoff_us = 10_000.0) k =
-  if max_retries < 0 then invalid_arg "Runtime.deploy_with_retry: negative max_retries";
-  if base_backoff_us <= 0.0 || max_backoff_us <= 0.0 then
-    invalid_arg "Runtime.deploy_with_retry: backoff must be positive";
-  let sim = t.cluster.Cluster.sim in
-  let rec attempt n =
-    match deploy t ~accel with
-    | Ok _ as ok -> k ok
-    | Error _ as e ->
-      if n >= max_retries then k e
-      else begin
-        let backoff =
-          Float.min max_backoff_us (base_backoff_us *. (2.0 ** float_of_int n))
-        in
-        Obs.Counter.incr (Obs.Counter.get "runtime.deploy.retried");
-        Sim.schedule sim ~delay:backoff (fun () -> attempt (n + 1))
-      end
-  in
-  attempt 0
 
 type failover = { recovered : int; lost : deployment list }
 
@@ -505,39 +417,9 @@ let fail_node (t : t) node_id =
 
 let restore_node (t : t) node_id =
   Hashtbl.remove t.failed node_id;
-  match t.index with Some ix -> Alloc_index.restore ix node_id | None -> ()
+  Alloc_index.restore t.index node_id
 
 (* Fleet fragmentation: fraction of free virtual blocks stranded on
-   partially-occupied healthy devices.  O(1) off the capacity index;
-   the naive runtime computes the identical value by scanning, so the
-   two allocator shapes report the same score. *)
-let frag_counts_naive (t : t) =
-  let n = Cluster.node_count t.cluster in
-  let free_total = ref 0 and free_whole = ref 0 and whole_nodes = ref 0 in
-  for i = 0 to n - 1 do
-    if not (Hashtbl.mem t.failed i) then begin
-      let node = Cluster.node t.cluster i in
-      let free = Node.free_vbs node in
-      free_total := !free_total + free;
-      if free = Node.total_vbs node then begin
-        free_whole := !free_whole + free;
-        incr whole_nodes
-      end
-    end
-  done;
-  (!free_total, !free_whole, !whole_nodes)
-
-let fragmentation (t : t) =
-  match t.index with
-  | Some ix -> Alloc_index.fragmentation ix
-  | None ->
-    let free_total, free_whole, _ = frag_counts_naive t in
-    if free_total = 0 then 0.0
-    else float_of_int (free_total - free_whole) /. float_of_int free_total
-
-let whole_free_nodes (t : t) =
-  match t.index with
-  | Some ix -> Alloc_index.whole_free_nodes ix
-  | None ->
-    let _, _, whole_nodes = frag_counts_naive t in
-    whole_nodes
+   partially-occupied healthy devices.  O(1) off the capacity index. *)
+let fragmentation (t : t) = Alloc_index.fragmentation t.index
+let whole_free_nodes (t : t) = Alloc_index.whole_free_nodes t.index

@@ -54,15 +54,14 @@ val tiles_deployed : deployment -> int
 
 type t
 
-(** [create ?policy ?indexed cluster registry] builds a controller.
+(** [create ?policy cluster registry] builds a controller.
 
-    With [indexed] (the default) candidate nodes come from an
-    incremental {!Alloc_index} maintained across deploy / undeploy /
-    rebalance / failover / restore, so a request does no per-node
-    cluster scan.  [~indexed:false] keeps the original
-    snapshot-and-scan allocator; both make byte-identical placement
-    decisions (asserted by the differential tests) — the flag exists
-    for that comparison and for the placement-churn benchmark.
+    Candidate nodes come from an incremental {!Alloc_index} maintained
+    across deploy / undeploy / rebalance / failover / restore, so a
+    request does no per-node cluster scan.  The snapshot-and-scan
+    allocator it replaced is a test oracle
+    ([test/oracle/placement_scan.ml]); the differential tests and the
+    placement-churn benchmark hold the two to identical choices.
 
     The index assumes this runtime is the only writer of the
     cluster's controllers.
@@ -76,7 +75,6 @@ type t
     bit-identical to cacheless builds. *)
 val create :
   ?policy:policy ->
-  ?indexed:bool ->
   ?cache:Mlv_vital.Bitstream.Cache.t ->
   Mlv_cluster.Cluster.t ->
   Registry.t ->
@@ -84,15 +82,12 @@ val create :
 
 val policy : t -> policy
 
-(** [indexed t] tells which allocator the runtime uses. *)
-val indexed : t -> bool
-
 (** [bitstream_cache t] is the staging cache, if one was installed. *)
 val bitstream_cache : t -> Mlv_vital.Bitstream.Cache.t option
 
 (** [index_consistent t] checks the capacity index against the
-    controllers (always true for a non-indexed runtime); the churn
-    invariant tests call it after every mutation. *)
+    controllers; the churn invariant tests call it after every
+    mutation. *)
 val index_consistent : t -> bool
 
 (** [registry t] is the mapping database the controller serves from. *)
@@ -109,24 +104,6 @@ val deploy : t -> accel:string -> (deployment, string) result
 (** [deployment_vbs d] sums the virtual blocks across [d]'s
     placements. *)
 val deployment_vbs : deployment -> int
-
-(** [deploy_with_retry t ~accel k] deploys with capped exponential
-    backoff over the cluster's simulation clock: a refused request
-    retries after [base_backoff_us], doubling up to [max_backoff_us],
-    at most [max_retries] times (defaults 3 / 100 µs / 10 ms), then
-    [k] receives the final outcome.  Each scheduled retry increments
-    [runtime.deploy.retried].  The continuation runs inside simulator
-    events, so the caller must drive {!Mlv_cluster.Sim.run}.
-    @raise Invalid_argument on a negative retry count or
-    non-positive backoff. *)
-val deploy_with_retry :
-  t ->
-  accel:string ->
-  ?max_retries:int ->
-  ?base_backoff_us:float ->
-  ?max_backoff_us:float ->
-  ((deployment, string) result -> unit) ->
-  unit
 
 (** [undeploy t d] releases every placement. *)
 val undeploy : t -> deployment -> unit
@@ -221,9 +198,7 @@ val cluster_utilization : t -> float
 (** [fragmentation t] is the fraction of free virtual blocks stranded
     on partially-occupied healthy devices — free capacity no
     whole-device (or device-sized) request can use; 0 when nothing is
-    free.  O(1) on an indexed runtime (incremental counters in the
-    capacity index), an O(nodes) scan with the identical formula on a
-    naive one. *)
+    free.  O(1): incremental counters in the capacity index. *)
 val fragmentation : t -> float
 
 (** [whole_free_nodes t] counts healthy nodes with every virtual

@@ -560,6 +560,15 @@ let memo f =
       Hashtbl.replace tbl k v;
       v
 
+(* [push_front q xs] puts [xs], in order, ahead of everything already
+   in [q]: re-queued work is the oldest, and FIFO order must survive a
+   retry or an eviction. *)
+let push_front q xs =
+  let tmp = Queue.create () in
+  List.iter (fun x -> Queue.add x tmp) xs;
+  Queue.transfer q tmp;
+  Queue.transfer tmp q
+
 (* What both engines set up and tally the same way: the fleet, the
    task stream, the hoisted metric handles, the completion tallies and
    the telemetry state.  Each engine keeps its own queueing state in
@@ -1011,14 +1020,6 @@ and run_open_loop ~registry cfg =
         try_start ()
     end
   in
-  (* Move re-queued tasks to the queue's front: they are the oldest
-     work and FIFO order must survive a retry. *)
-  let requeue_front ps =
-    let tmp = Queue.create () in
-    List.iter (fun p -> Queue.add p tmp) ps;
-    Queue.transfer queue tmp;
-    Queue.transfer tmp queue
-  in
   let max_retries =
     match cfg.faults with Some f -> f.max_retries | None -> 0
   in
@@ -1058,7 +1059,7 @@ and run_open_loop ~registry cfg =
         Obs.Trace.task Obs.Trace.Retry fl.pend.task.Genset.task_id ~node
           ~retries:fl.pend.retries ~label:fl.pend.accel)
       again;
-    requeue_front (List.map (fun fl -> fl.pend) again);
+    push_front queue (List.map (fun fl -> fl.pend) again);
     List.iter (fun fl -> reject fl.pend) exhausted;
     try_start ()
   in
@@ -1360,22 +1361,6 @@ and run_serving ~registry cfg serving =
       else if reclaim_candidate ~excluding:g.g_accel = None then `Dead
       else `Full
   in
-  (* Push batches at the FRONT of the backlog: a preempted victim's
-     queued work is its oldest, and FIFO order must survive the
-     eviction. *)
-  let backlog_push_front g batches =
-    if batches <> [] then begin
-      let tmp = Queue.create () in
-      List.iter
-        (fun b ->
-          Queue.add b tmp;
-          g.g_backlog_tasks <- g.g_backlog_tasks + List.length b)
-        batches;
-      Queue.transfer g.g_backlog tmp;
-      Queue.transfer tmp g.g_backlog;
-      Hashtbl.replace starved g.g_accel ()
-    end
-  in
   (* Victim for a priority preemption: any replica of a group whose
      work priority is below the demanding batch's — lowest priority
      first, idle before queued before busy, then lowest replica id
@@ -1426,10 +1411,16 @@ and run_serving ~registry cfg serving =
     end;
     let qbatches = List.rev (Queue.fold (fun acc b -> b :: acc) [] r.r_queue) in
     Queue.clear r.r_queue;
+    (* a preempted victim's queued work is its group's oldest: back
+       to the front of the backlog *)
     List.iter
-      (fun b -> g'.g_assigned_tasks <- g'.g_assigned_tasks - List.length b)
+      (fun b ->
+        let n = List.length b in
+        g'.g_assigned_tasks <- g'.g_assigned_tasks - n;
+        g'.g_backlog_tasks <- g'.g_backlog_tasks + n)
       qbatches;
-    backlog_push_front g' qbatches;
+    push_front g'.g_backlog qbatches;
+    if qbatches <> [] then Hashtbl.replace starved g'.g_accel ();
     remove_replica g' r;
     incr preemptions;
     Obs.Counter.incr (Lazy.force preemption_c);

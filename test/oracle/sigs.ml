@@ -1,6 +1,6 @@
-(* The interface each linear oracle shares with the structure it
-   mirrors, with its types abstract so that both fit it: bench/scale
-   times the two shapes through these. *)
+(* The interfaces the router, in-flight-table and event-queue oracles
+   share with the structures they mirror, with types abstract so that
+   both fit: the benches and tests run the two shapes through these. *)
 
 module type ROUTER = sig
   type t
@@ -41,4 +41,27 @@ module type FLIGHT_TABLE = sig
 
   (** Entries newest-first (insertion order). *)
   val to_list : 'a t -> 'a entry list
+end
+
+module type SIM = sig
+  type t
+
+  val create : unit -> t
+  val release : t -> unit
+  val now : t -> float
+
+  (** @raise Invalid_argument on a negative delay. *)
+  val schedule : t -> delay:float -> (unit -> unit) -> unit
+
+  (** @raise Invalid_argument on a time in the past. *)
+  val schedule_at : t -> at:float -> (unit -> unit) -> unit
+
+  val run : ?until:float -> t -> unit
+  val step : t -> bool
+
+  (** [infinity] when the queue is empty. *)
+  val next_time : t -> float
+
+  val pending : t -> int
+  val events_processed : t -> int
 end

@@ -23,6 +23,7 @@ module Program = Mlv_isa.Program
 module Instr = Mlv_isa.Instr
 module Rng = Mlv_util.Rng
 module Obs = Mlv_obs.Obs
+module Placement_scan = Mlv_oracle.Placement_scan
 
 (* Composition-pattern combinators the fixtures build soft-block trees
    with: [replicate] puts [n] copies side by side, [reduction] is a
@@ -1377,42 +1378,38 @@ let prop_runtime_conservation =
 
 let test_fragmentation_shapes_agree () =
   let npu = Lazy.force npu_result in
-  let mk indexed =
+  let rt =
     let registry = Registry.create () in
     Registry.register registry npu.Framework.mapping;
-    Runtime.create ~policy:Runtime.greedy ~indexed (Cluster.create ()) registry
+    Runtime.create ~policy:Runtime.greedy (Cluster.create ()) registry
   in
-  let rt_i = mk true and rt_n = mk false in
+  (* The index's O(1) counters against the scan oracle's full pass. *)
   let agree label =
     Alcotest.(check (float 1e-12))
       (label ^ ": fragmentation agrees")
-      (Runtime.fragmentation rt_n) (Runtime.fragmentation rt_i);
+      (Placement_scan.fragmentation rt) (Runtime.fragmentation rt);
     Alcotest.(check int)
       (label ^ ": whole-free agrees")
-      (Runtime.whole_free_nodes rt_n)
-      (Runtime.whole_free_nodes rt_i);
+      (Placement_scan.whole_free_nodes rt)
+      (Runtime.whole_free_nodes rt);
     Alcotest.(check bool) (label ^ ": index consistent") true
-      (Runtime.index_consistent rt_i)
+      (Runtime.index_consistent rt)
   in
   agree "empty";
   Alcotest.(check (float 1e-12)) "empty cluster has no stranding" 0.0
-    (Runtime.fragmentation rt_i);
-  let deploy rt =
+    (Runtime.fragmentation rt);
+  let deploy () =
     match Runtime.deploy rt ~accel:"npu-t6" with
     | Ok d -> d
     | Error e -> Alcotest.fail e
   in
-  let di = List.init 5 (fun _ -> deploy rt_i) in
-  let dn = List.init 5 (fun _ -> deploy rt_n) in
+  let ds = List.init 5 (fun _ -> deploy ()) in
   agree "loaded";
-  List.iteri (fun i d -> if i mod 2 = 0 then Runtime.undeploy rt_i d) di;
-  List.iteri (fun i d -> if i mod 2 = 0 then Runtime.undeploy rt_n d) dn;
+  List.iteri (fun i d -> if i mod 2 = 0 then Runtime.undeploy rt d) ds;
   agree "after churn";
-  Runtime.mark_node_failed rt_i 0;
-  Runtime.mark_node_failed rt_n 0;
+  Runtime.mark_node_failed rt 0;
   agree "node failed";
-  Runtime.restore_node rt_i 0;
-  Runtime.restore_node rt_n 0;
+  Runtime.restore_node rt 0;
   agree "restored"
 
 (* One stranded 6-VB deployment per device: plenty of free blocks in

@@ -1,6 +1,6 @@
 (* Placement-engine tests: the indexed allocator must make
-   byte-identical decisions to the naive snapshot-scan path under
-   every policy, and the capacity index must never drift from the
+   byte-identical decisions to the snapshot-scan oracle under every
+   policy, and the capacity index must never drift from the
    controllers across deploy/undeploy/fail/restore/rebalance churn. *)
 
 module Mapping = Mlv_core.Mapping
@@ -15,6 +15,7 @@ module Cluster = Mlv_cluster.Cluster
 module Node = Mlv_cluster.Node
 module Bitstream = Mlv_vital.Bitstream
 module Rng = Mlv_util.Rng
+module Placement_scan = Mlv_oracle.Placement_scan
 
 let registry =
   lazy (Framework.npu_registry ~tile_counts:[ 6; 21 ] ())
@@ -79,7 +80,7 @@ let test_mapdb_plan () =
       (fun lp -> Alcotest.(check int) "single levels only" 1 lp.Mapdb.piece_count)
       plan.Mapdb.single_fewest
 
-(* ---------------- differential: indexed ≡ naive ---------------- *)
+(* ---------------- differential: index ≡ scan ---------------- *)
 
 type op = Deploy of string | Undeploy of int | Fail of int | Restore of int | Rebalance
 
@@ -100,70 +101,118 @@ let placement_sig (d : Runtime.deployment) =
       (p.Runtime.node_id, Bitstream.id p.Runtime.bitstream, p.Runtime.bitstream.Bitstream.vbs))
     d.Runtime.placements
 
-let free_state cluster =
-  List.init (Cluster.node_count cluster) (fun i -> Node.free_vbs (Cluster.node cluster i))
-
 let sig_t = Alcotest.(list (triple int string int))
 
+(* Every deploy — the script's own and those inside a failover or a
+   rebalance — is predicted by the scan oracle on the state it runs
+   against, with [free] tracking that state through the composite
+   operations. *)
 let run_differential policy =
   let r = Lazy.force registry in
-  let ca = Cluster.create ~kinds:pod_kinds () in
-  let cb = Cluster.create ~kinds:pod_kinds () in
-  let ra = Runtime.create ~policy ~indexed:true ca r in
-  let rb = Runtime.create ~policy ~indexed:false cb r in
-  Alcotest.(check bool) "a indexed" true (Runtime.indexed ra);
-  Alcotest.(check bool) "b naive" false (Runtime.indexed rb);
-  let live_a = ref [] and live_b = ref [] in
+  let cluster = Cluster.create ~kinds:pod_kinds () in
+  let rt = Runtime.create ~policy cluster r in
+  let total i = Node.total_vbs (Cluster.node cluster i) in
+  (* The scan's choice as the deploy would place it, with the
+     whole-device widening applied; [free] is charged for it. *)
+  let predict ?free accel =
+    let free = match free with Some f -> f | None -> Placement_scan.free_blocks rt in
+    Option.map
+      (List.map (fun (node, (bs : Bitstream.t)) ->
+           let vbs = if policy.Runtime.whole_device then total node else bs.Bitstream.vbs in
+           free.(node) <- free.(node) - vbs;
+           (node, Bitstream.id bs, vbs)))
+      (Placement_scan.choose ~free rt ~accel)
+  in
+  let live = ref [] in
   List.iteri
     (fun step op ->
       let ctx = Printf.sprintf "%s step %d" policy.Runtime.policy_name step in
       (match op with
       | Deploy accel -> (
-        match (Runtime.deploy ra ~accel, Runtime.deploy rb ~accel) with
-        | Ok da, Ok db ->
-          Alcotest.check sig_t (ctx ^ ": same placements") (placement_sig db)
-            (placement_sig da);
-          live_a := !live_a @ [ da ];
-          live_b := !live_b @ [ db ]
-        | Error ea, Error eb -> Alcotest.(check string) (ctx ^ ": same error") eb ea
-        | Ok _, Error e -> Alcotest.failf "%s: indexed placed, naive failed: %s" ctx e
-        | Error e, Ok _ -> Alcotest.failf "%s: naive placed, indexed failed: %s" ctx e)
+        let predicted = predict accel in
+        match (Runtime.deploy rt ~accel, predicted) with
+        | Ok d, Some p ->
+          Alcotest.check sig_t (ctx ^ ": same placements") p (placement_sig d);
+          live := !live @ [ d ]
+        | Error _, None -> ()
+        | Ok _, None -> Alcotest.failf "%s: index placed, scan found nothing" ctx
+        | Error e, Some _ -> Alcotest.failf "%s: scan placed, index failed: %s" ctx e)
       | Undeploy i ->
-        if i < List.length !live_a then begin
-          Runtime.undeploy ra (List.nth !live_a i);
-          Runtime.undeploy rb (List.nth !live_b i);
-          live_a := List.filteri (fun j _ -> j <> i) !live_a;
-          live_b := List.filteri (fun j _ -> j <> i) !live_b
+        if i < List.length !live then begin
+          Runtime.undeploy rt (List.nth !live i);
+          live := List.filteri (fun j _ -> j <> i) !live
         end
       | Fail n ->
-        let fa = Runtime.fail_node ra n in
-        let fb = Runtime.fail_node rb n in
-        Alcotest.(check int) (ctx ^ ": same recovered") fb.Runtime.recovered
-          fa.Runtime.recovered;
+        (* failover tears down every deployment on [n], then redeploys
+           each on the healthy nodes in live order *)
+        let affected =
+          List.filter
+            (fun d -> List.mem n (Runtime.nodes_used d))
+            (Runtime.deployments rt)
+        in
+        Runtime.mark_node_failed rt n;
+        let free = Placement_scan.free_blocks ~without:affected rt in
+        let predicted =
+          List.map (fun (d : Runtime.deployment) -> (d, predict ~free d.Runtime.accel)) affected
+        in
+        let f = Runtime.fail_node rt n in
+        let expected_lost =
+          List.filter_map (fun (d, p) -> if p = None then Some d else None) predicted
+        in
         Alcotest.(check int)
-          (ctx ^ ": same lost")
-          (List.length fb.Runtime.lost)
-          (List.length fa.Runtime.lost);
-        live_a := List.filter (fun d -> not (List.memq d fa.Runtime.lost)) !live_a;
-        live_b := List.filter (fun d -> not (List.memq d fb.Runtime.lost)) !live_b
-      | Restore n ->
-        Runtime.restore_node ra n;
-        Runtime.restore_node rb n
+          (ctx ^ ": same recovered")
+          (List.length affected - List.length expected_lost)
+          f.Runtime.recovered;
+        Alcotest.(check bool) (ctx ^ ": same lost") true
+          (List.equal ( == ) expected_lost f.Runtime.lost);
+        List.iter
+          (fun (d, p) ->
+            Option.iter
+              (fun p ->
+                Alcotest.check sig_t (ctx ^ ": failover placements") p (placement_sig d))
+              p)
+          predicted;
+        live := List.filter (fun d -> not (List.memq d f.Runtime.lost)) !live
+      | Restore n -> Runtime.restore_node rt n
       | Rebalance -> (
-        match (Runtime.rebalance ra, Runtime.rebalance rb) with
-        | Ok ma, Ok mb -> Alcotest.(check int) (ctx ^ ": same moved") mb ma
-        | Error ea, Error eb -> Alcotest.(check string) (ctx ^ ": same error") eb ea
-        | _ -> Alcotest.failf "%s: rebalance outcomes diverged" ctx));
-      Alcotest.(check (list int))
-        (ctx ^ ": same free blocks per node")
-        (free_state cb) (free_state ca);
-      (* every live pair must agree placement-for-placement *)
-      List.iter2
-        (fun da db ->
-          Alcotest.check sig_t (ctx ^ ": live placements agree") (placement_sig db)
-            (placement_sig da))
-        !live_a !live_b;
-      Alcotest.(check bool) (ctx ^ ": index consistent") true (Runtime.index_consistent ra))
+        (* rebalance tears everything down, then redeploys largest
+           first; if one no longer fits, everything goes back *)
+        let ds = Runtime.deployments rt in
+        let before = List.map (fun d -> (d, placement_sig d)) ds in
+        let order =
+          List.stable_sort
+            (fun a b -> compare (Runtime.tiles_deployed b) (Runtime.tiles_deployed a))
+            ds
+        in
+        let free = Placement_scan.free_blocks ~without:ds rt in
+        let predicted =
+          List.map (fun (d : Runtime.deployment) -> (d, predict ~free d.Runtime.accel)) order
+        in
+        let fits = List.for_all (fun (_, p) -> p <> None) predicted in
+        match Runtime.rebalance rt with
+        | Ok moved ->
+          if not fits then Alcotest.failf "%s: rebalance placed what the scan could not" ctx;
+          let nodes_of sg = List.sort_uniq compare (List.map (fun (n, _, _) -> n) sg) in
+          let expect_moved =
+            List.length
+              (List.filter
+                 (fun (d, p) -> nodes_of (List.assq d before) <> nodes_of (Option.get p))
+                 predicted)
+          in
+          Alcotest.(check int) (ctx ^ ": same moved") expect_moved moved;
+          List.iter
+            (fun (d, p) ->
+              Alcotest.check sig_t (ctx ^ ": rebalanced placements") (Option.get p)
+                (placement_sig d))
+            predicted
+        | Error e ->
+          if fits then Alcotest.failf "%s: scan fits everything, rebalance failed: %s" ctx e;
+          List.iter
+            (fun (d, sg) ->
+              Alcotest.check sig_t (ctx ^ ": rollback restored placements") sg
+                (placement_sig d))
+            before));
+      Alcotest.(check bool) (ctx ^ ": index consistent") true (Runtime.index_consistent rt))
     script
 
 let test_differential_greedy () = run_differential Runtime.greedy

@@ -7,6 +7,7 @@ module Slo = Mlv_sched.Slo
 module Batcher = Mlv_sched.Batcher
 module Router = Mlv_sched.Router
 module Router_linear = Mlv_oracle.Router_linear
+module Placement_scan = Mlv_oracle.Placement_scan
 module Autoscaler = Mlv_sched.Autoscaler
 module Sysim = Mlv_sysim.Sysim
 module Runtime = Mlv_core.Runtime
@@ -854,59 +855,68 @@ let toy_registry () =
 let test_migrate_rollback_differential () =
   (* Force-migrate with every node marked failed: the deploy inside
      migrate cannot place anywhere, so the rollback must restore the
-     original placements exactly.  Run the same scenario on an indexed
-     and a naive runtime: every decision must match, and the capacity
+     original placements exactly.  The scan oracle predicts every
+     deploy and both migrations on the same state, and the capacity
      index must stay consistent after the failed migration. *)
-  let scenario ~indexed =
-    let reg = toy_registry () in
-    let cluster = Cluster.create ~kinds:[ Device.XCVU37P; Device.XCVU37P ] () in
-    let rt = Runtime.create ~policy:Runtime.greedy ~indexed cluster reg in
-    let rec fill acc =
-      match Runtime.deploy rt ~accel:"npu-t6" with
-      | Ok d -> fill (d :: acc)
-      | Error _ -> List.rev acc
-    in
-    let deployed = fill [] in
-    Alcotest.(check bool) "cluster holds several" true (List.length deployed >= 2);
-    let victim = List.hd deployed in
-    let before = Runtime.nodes_used victim in
-    for n = 0 to Cluster.node_count cluster - 1 do
-      Runtime.mark_node_failed rt n
-    done;
-    let outcome = Runtime.migrate ~force:true rt victim in
-    (match outcome with
-    | Ok _ -> Alcotest.fail "migrate with all nodes down should fail"
+  let reg = toy_registry () in
+  let cluster = Cluster.create ~kinds:[ Device.XCVU37P; Device.XCVU37P ] () in
+  let rt = Runtime.create ~policy:Runtime.greedy cluster reg in
+  let nodes_of = function
+    | None -> None
+    | Some assignment -> Some (List.sort_uniq compare (List.map fst assignment))
+  in
+  let check_prediction label predicted outcome =
+    Alcotest.(check (option (list int)))
+      (label ^ ": the scan oracle agrees")
+      (nodes_of predicted) outcome
+  in
+  let rec fill acc =
+    let predicted = Placement_scan.choose rt ~accel:"npu-t6" in
+    match Runtime.deploy rt ~accel:"npu-t6" with
+    | Ok d ->
+      check_prediction "deploy" predicted (Some (Runtime.nodes_used d));
+      fill (d :: acc)
     | Error _ ->
-      Alcotest.(check (list int)) "rollback restored placement" before
-        (Runtime.nodes_used victim);
-      Alcotest.(check bool) "still live after rollback" true
-        (List.memq victim (Runtime.deployments rt)));
-    Alcotest.(check bool) "index consistent after failed migrate" true
-      (Runtime.index_consistent rt);
-    for n = 0 to Cluster.node_count cluster - 1 do
-      Runtime.restore_node rt n
-    done;
-    (* with capacity back, the same forced migration goes through and
-       the rollback has left no hidden state behind *)
-    let second = Runtime.migrate ~force:true rt victim in
-    (match second with
-    | Ok moved -> Alcotest.(check bool) "replaced whole" true (moved >= 1)
-    | Error e -> Alcotest.fail e);
-    Alcotest.(check bool) "index consistent after second" true
-      (Runtime.index_consistent rt);
-    List.iter (Runtime.undeploy rt) deployed;
-    Alcotest.(check bool) "index consistent after teardown" true
-      (Runtime.index_consistent rt);
-    let tag = function Ok n -> Printf.sprintf "ok:%d" n | Error _ -> "error" in
-    (List.length deployed, tag outcome, tag second, Runtime.nodes_used victim)
+      check_prediction "full cluster" predicted None;
+      List.rev acc
   in
-  let i = scenario ~indexed:true in
-  let n = scenario ~indexed:false in
-  let pp_outcome fmt (a, b, c, d) =
-    Format.fprintf fmt "(%d, %s, %s, [%s])" a b c
-      (String.concat ";" (List.map string_of_int d))
+  let deployed = fill [] in
+  Alcotest.(check bool) "cluster holds several" true (List.length deployed >= 2);
+  let victim = List.hd deployed in
+  let before = Runtime.nodes_used victim in
+  for n = 0 to Cluster.node_count cluster - 1 do
+    Runtime.mark_node_failed rt n
+  done;
+  let migrate label =
+    let free = Placement_scan.free_blocks ~without:[ victim ] rt in
+    let predicted = Placement_scan.choose ~free rt ~accel:"npu-t6" in
+    let outcome = Runtime.migrate ~force:true rt victim in
+    check_prediction label predicted
+      (Result.to_option (Result.map (fun _ -> Runtime.nodes_used victim) outcome));
+    outcome
   in
-  Alcotest.(check (testable pp_outcome ( = ))) "indexed and naive agree" n i
+  (match migrate "failed migrate" with
+  | Ok _ -> Alcotest.fail "migrate with all nodes down should fail"
+  | Error _ ->
+    Alcotest.(check (list int)) "rollback restored placement" before
+      (Runtime.nodes_used victim);
+    Alcotest.(check bool) "still live after rollback" true
+      (List.memq victim (Runtime.deployments rt)));
+  Alcotest.(check bool) "index consistent after failed migrate" true
+    (Runtime.index_consistent rt);
+  for n = 0 to Cluster.node_count cluster - 1 do
+    Runtime.restore_node rt n
+  done;
+  (* with capacity back, the same forced migration goes through and
+     the rollback has left no hidden state behind *)
+  (match migrate "second migrate" with
+  | Ok moved -> Alcotest.(check bool) "replaced whole" true (moved >= 1)
+  | Error e -> Alcotest.fail e);
+  Alcotest.(check bool) "index consistent after second" true
+    (Runtime.index_consistent rt);
+  List.iter (Runtime.undeploy rt) deployed;
+  Alcotest.(check bool) "index consistent after teardown" true
+    (Runtime.index_consistent rt)
 
 (* ---------------- per-attempt wait accounting ---------------- *)
 

@@ -1,39 +1,37 @@
-(* Differential suite for the two discrete-event engines: the
-   timing-wheel engine must be bit-identical to the binary-heap
-   oracle — same event orderings (including FIFO tie-breaks), same
-   clocks, same end-to-end sysim results — on every configuration the
-   system simulator exercises (open loop, fault plans, elastic
-   serving).  The microbenchmark (bench/sim.ml) asserts the same
-   contract over millions of events; this suite pins it in the test
-   tier with small, fast cases. *)
+(* Differential suite for the event queue: the timing-wheel [Sim]
+   must be bit-identical to the binary-heap oracle
+   ([Mlv_oracle.Sim_heap]) — same event orderings (including FIFO
+   tie-breaks) and same clocks.  The microbenchmark (bench/sim.ml)
+   asserts the same contract over millions of events; this suite pins
+   it in the test tier with small, fast cases, and test_sysim's golden
+   fingerprints pin whole-run results. *)
 
 module Sim = Mlv_cluster.Sim
-module Fault_plan = Mlv_cluster.Fault_plan
-module Sysim = Mlv_sysim.Sysim
-module Runtime = Mlv_core.Runtime
-module Genset = Mlv_workload.Genset
+module Sim_heap = Mlv_oracle.Sim_heap
 module Rng = Mlv_util.Rng
 
-(* The registry build compiles ten accelerator instances; share it. *)
-let registry = lazy (Sysim.build_registry ())
+type engine = (module Mlv_oracle.Sigs.SIM)
+
+let heap : engine = (module Sim_heap)
+let wheel : engine = (module Sim)
 
 (* ---------------- Sim-level ordering ---------------- *)
 
 (* Fire the spec on one engine and return the (time, tag) sequence. *)
-let fire_order engine spec =
-  let sim = Sim.create ~engine () in
+let fire_order (module S : Mlv_oracle.Sigs.SIM) spec =
+  let sim = S.create () in
   let log = ref [] in
   List.iter
     (fun (at, tag) ->
-      Sim.schedule_at sim ~at (fun () -> log := (Sim.now sim, tag) :: !log))
+      S.schedule_at sim ~at (fun () -> log := (S.now sim, tag) :: !log))
     spec;
-  Sim.run sim;
-  Sim.release sim;
+  S.run sim;
+  S.release sim;
   List.rev !log
 
 let check_same_order name spec =
-  let h = fire_order Sim.Heap spec in
-  let w = fire_order Sim.Wheel spec in
+  let h = fire_order heap spec in
+  let w = fire_order wheel spec in
   Alcotest.(check (list (pair (float 0.0) int))) name h w
 
 let test_fifo_tie_break () =
@@ -55,7 +53,7 @@ let test_fifo_tie_break () =
   check_same_order "tie order" spec;
   (* The wheel's in-bucket sort must yield FIFO for the ties itself,
      not just agree with the heap. *)
-  let w = fire_order Sim.Wheel spec in
+  let w = fire_order wheel spec in
   let ties = List.filter_map (fun (t, g) -> if t = 5.0 then Some g else None) w in
   Alcotest.(check (list int)) "FIFO among equal times" [ 0; 2; 4; 7 ] ties
 
@@ -64,13 +62,13 @@ let test_random_stream_differential () =
      clustered times (many bucket collisions and exact ties from the
      coarse quantisation) plus occasional far-future jumps that cross
      wheel levels. *)
-  let spec engine =
+  let spec (module S : Mlv_oracle.Sigs.SIM) =
     let rng = Rng.create 7 in
-    let sim = Sim.create ~engine () in
+    let sim = S.create () in
     let log = ref [] in
     let count = ref 0 in
     let rec handler () =
-      log := Sim.now sim :: !log;
+      log := S.now sim :: !log;
       if !count < 3000 then begin
         incr count;
         let r = Rng.float rng 1.0 in
@@ -79,101 +77,40 @@ let test_random_stream_differential () =
           else if r < 0.9 then Rng.float rng 5_000.0
           else Rng.float rng 40_000_000.0 (* level-2 / overflow hops *)
         in
-        Sim.schedule sim ~delay handler
+        S.schedule sim ~delay handler
       end
     in
     for _ = 1 to 50 do
-      Sim.schedule_at sim ~at:(Rng.float rng 100.0) handler
+      S.schedule_at sim ~at:(Rng.float rng 100.0) handler
     done;
-    Sim.run sim;
-    Sim.release sim;
+    S.run sim;
+    S.release sim;
     List.rev !log
   in
-  let h = spec Sim.Heap and w = spec Sim.Wheel in
+  let h = spec heap and w = spec wheel in
   Alcotest.(check int) "same length" (List.length h) (List.length w);
   Alcotest.(check (list (float 0.0))) "same pop times" h w
 
 let test_run_until_agrees () =
-  let go engine =
-    let sim = Sim.create ~engine () in
+  let go (module S : Mlv_oracle.Sigs.SIM) =
+    let sim = S.create () in
     let fired = ref [] in
     List.iter
-      (fun at -> Sim.schedule_at sim ~at (fun () -> fired := at :: !fired))
+      (fun at -> S.schedule_at sim ~at (fun () -> fired := at :: !fired))
       [ 10.0; 250.0; 250.0; 4096.0; 100_000.0 ];
-    Sim.run ~until:300.0 sim;
-    let mid = (Sim.now sim, List.rev !fired, Sim.pending sim) in
-    Sim.run sim;
-    Sim.release sim;
-    (mid, Sim.now sim, Sim.events_processed sim)
+    S.run ~until:300.0 sim;
+    let mid = (S.now sim, List.rev !fired, S.pending sim) in
+    S.run sim;
+    S.release sim;
+    (mid, S.now sim, S.events_processed sim)
   in
-  let h = go Sim.Heap and w = go Sim.Wheel in
+  let h = go heap and w = go wheel in
   let (hn, hf, hp), hend, hev = h and (wn, wf, wp), wend, wev = w in
   Alcotest.(check (float 0.0)) "clock at limit" hn wn;
   Alcotest.(check (list (float 0.0))) "fired before limit" hf wf;
   Alcotest.(check int) "pending after limit" hp wp;
   Alcotest.(check (float 0.0)) "final clock" hend wend;
   Alcotest.(check int) "events processed" hev wev
-
-(* ---------------- Sysim end-to-end ---------------- *)
-
-(* Run the same sysim configuration under both engines and demand
-   structurally identical results — every counter, every float,
-   including the per-task completion-order latency list (an
-   order-sensitive fingerprint of the whole event sequence). *)
-let run_both name cfg =
-  let go engine =
-    Sim.set_default_engine engine;
-    Fun.protect
-      ~finally:(fun () -> Sim.set_default_engine Sim.Wheel)
-      (fun () -> Sysim.run ~registry:(Lazy.force registry) cfg)
-  in
-  let h = go Sim.Heap in
-  let w = go Sim.Wheel in
-  (* Spot-check headline fields for a readable failure first. *)
-  Alcotest.(check int) (name ^ ": completed") h.Sysim.completed w.Sysim.completed;
-  Alcotest.(check (float 0.0))
-    (name ^ ": makespan")
-    h.Sysim.makespan_us w.Sysim.makespan_us;
-  Alcotest.(check (list (float 0.0)))
-    (name ^ ": latency sequence")
-    h.Sysim.latencies_us w.Sysim.latencies_us;
-  (* loop_wall_s is real time, the one intentionally nondeterministic
-     field; neutralize it before the structural comparison. *)
-  let scrub r = { r with Sysim.loop_wall_s = 0.0 } in
-  Alcotest.(check bool)
-    (name ^ ": full result bit-identical")
-    true
-    (scrub h = scrub w)
-
-let test_sysim_open_loop () =
-  let cfg =
-    Sysim.default_config ~policy:Runtime.greedy ~composition:Genset.table1.(6)
-  in
-  run_both "open loop" { cfg with Sysim.tasks = 30 }
-
-let test_sysim_faults () =
-  let plan =
-    match Fault_plan.of_string "crash@8000:1,degrade@12000:0.6,restore@20000:1" with
-    | Ok p -> p
-    | Error e -> Alcotest.fail e
-  in
-  let cfg =
-    Sysim.default_config ~policy:Runtime.greedy ~composition:Genset.table1.(6)
-  in
-  run_both "faults"
-    { cfg with Sysim.tasks = 30; faults = Some (Sysim.default_faults plan) }
-
-let test_sysim_serving () =
-  let cfg =
-    Sysim.default_config ~policy:Runtime.greedy ~composition:Genset.table1.(7)
-  in
-  run_both "serving"
-    {
-      cfg with
-      Sysim.tasks = 40;
-      mean_interarrival_us = 120.0;
-      serving = Some Sysim.default_serving;
-    }
 
 let () =
   Alcotest.run "sim_engine"
@@ -184,11 +121,5 @@ let () =
           Alcotest.test_case "random stream differential" `Quick
             test_random_stream_differential;
           Alcotest.test_case "run ~until agrees" `Quick test_run_until_agrees;
-        ] );
-      ( "sysim",
-        [
-          Alcotest.test_case "open loop bit-identical" `Quick test_sysim_open_loop;
-          Alcotest.test_case "fault plan bit-identical" `Quick test_sysim_faults;
-          Alcotest.test_case "serving bit-identical" `Quick test_sysim_serving;
         ] );
     ]

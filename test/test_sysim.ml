@@ -490,6 +490,47 @@ let test_golden_open_loop_faults () =
     (r.Sysim.alert_transitions <> []);
   Alcotest.(check int) "none lost" 0 r.Sysim.lost
 
+(* Whole runs on the event queue.  These goldens were taken from both
+   the heap and the wheel queue, which agreed, before the heap left
+   the library: the wheel must keep reproducing what the heap
+   produced.  Queue-level orderings are checked against the heap
+   oracle in test_sim_engine. *)
+let test_queue_golden_open_loop () =
+  let cfg =
+    Sysim.default_config ~policy:Runtime.greedy ~composition:Genset.table1.(6)
+  in
+  Sysim.run ~registry:(Lazy.force registry) { cfg with Sysim.tasks = 30 }
+  |> check_golden "open loop" "5a7e671d1e18c41265963fe918b710b0"
+
+let test_queue_golden_faults () =
+  let plan =
+    match
+      Mlv_cluster.Fault_plan.of_string
+        "crash@8000:1,degrade@12000:0.6,restore@20000:1"
+    with
+    | Ok p -> p
+    | Error e -> Alcotest.fail e
+  in
+  let cfg =
+    Sysim.default_config ~policy:Runtime.greedy ~composition:Genset.table1.(6)
+  in
+  Sysim.run ~registry:(Lazy.force registry)
+    { cfg with Sysim.tasks = 30; faults = Some (Sysim.default_faults plan) }
+  |> check_golden "fault plan" "9944a29db1d6f3081288e521cdcba7ed"
+
+let test_queue_golden_serving () =
+  let cfg =
+    Sysim.default_config ~policy:Runtime.greedy ~composition:Genset.table1.(7)
+  in
+  Sysim.run ~registry:(Lazy.force registry)
+    {
+      cfg with
+      Sysim.tasks = 40;
+      mean_interarrival_us = 120.0;
+      serving = Some Sysim.default_serving;
+    }
+  |> check_golden "serving" "a52f68b28e9af316143e537bc4d7cd1e"
+
 (* ---------------- fault injection ---------------- *)
 
 module Fault_plan = Mlv_cluster.Fault_plan
@@ -685,6 +726,12 @@ let () =
           Alcotest.test_case "waits reasonable" `Quick test_wait_reasonable;
           Alcotest.test_case "scale-out shape" `Quick test_scale_out_shape;
           Alcotest.test_case "instance within cap" `Quick test_instance_within;
+          Alcotest.test_case "open loop bit-identical" `Quick
+            test_queue_golden_open_loop;
+          Alcotest.test_case "fault plan bit-identical" `Quick
+            test_queue_golden_faults;
+          Alcotest.test_case "serving bit-identical" `Quick
+            test_queue_golden_serving;
         ] );
       ( "flight_table",
         [
