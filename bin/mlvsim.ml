@@ -227,44 +227,30 @@ let run set policy tasks seed interarrival repeats compare fault_plan max_retrie
     mapping_cache predict replay record bitstream_cache metrics_out
     trace_out scrape_interval alerts series_out prom_out =
   let ( let* ) r f = Result.bind r f in
+  (* An optional flag's value through its parser; a parse error names
+     the flag. *)
+  let optional flag parse = function
+    | None -> Ok None
+    | Some s -> (
+      match parse s with
+      | Ok v -> Ok (Some v)
+      | Error e -> Error (Printf.sprintf "bad --%s: %s" flag e))
+  in
   let parsed =
     let* faults =
-      match fault_plan with
-      | None -> Ok None
-      | Some s -> (
-        match Fault_plan.of_string s with
-        | Ok plan -> Ok (Some { Sysim.plan; max_retries })
-        | Error e -> Error ("bad --fault-plan: " ^ e))
+      optional "fault-plan"
+        (fun s ->
+          Result.map (fun plan -> { Sysim.plan; max_retries }) (Fault_plan.of_string s))
+        fault_plan
     in
     let* arrival =
       match (burst, diurnal) with
       | Some _, Some _ -> Error "--burst and --diurnal are mutually exclusive"
-      | Some s, None -> (
-        match burst_of_string s with
-        | Ok a -> Ok (Some a)
-        | Error e -> Error ("bad --burst: " ^ e))
-      | None, Some s -> (
-        match diurnal_of_string s with
-        | Ok a -> Ok (Some a)
-        | Error e -> Error ("bad --diurnal: " ^ e))
-      | None, None -> Ok None
+      | None, Some _ -> optional "diurnal" diurnal_of_string diurnal
+      | _ -> optional "burst" burst_of_string burst
     in
-    let* batch =
-      match batch with
-      | None -> Ok None
-      | Some s -> (
-        match batch_of_string s with
-        | Ok b -> Ok (Some b)
-        | Error e -> Error ("bad --batch: " ^ e))
-    in
-    let* classes =
-      match slo with
-      | None -> Ok None
-      | Some s -> (
-        match slo_of_string s with
-        | Ok cs -> Ok (Some cs)
-        | Error e -> Error ("bad --slo: " ^ e))
-    in
+    let* batch = optional "batch" batch_of_string batch in
+    let* classes = optional "slo" slo_of_string slo in
     let* frontend_sessions =
       match sessions with
       | None -> Ok None
@@ -272,14 +258,7 @@ let run set policy tasks seed interarrival repeats compare fault_plan max_retrie
         Ok (Some (Mlv_serve.Session.config ~idle_timeout_us:us ()))
       | Some _ -> Error "--sessions idle timeout must be positive"
     in
-    let* frontend_cache =
-      match mapping_cache with
-      | None -> Ok None
-      | Some s -> (
-        match mapcache_of_string s with
-        | Ok mc -> Ok (Some mc)
-        | Error e -> Error ("bad --mapping-cache: " ^ e))
-    in
+    let* frontend_cache = optional "mapping-cache" mapcache_of_string mapping_cache in
     let* () =
       if predict && not autoscale then
         Error "--predict requires --autoscale (it replaces its control law)"
@@ -321,14 +300,8 @@ let run set policy tasks seed interarrival repeats compare fault_plan max_retrie
             defrag = (if defrag then Some Mlv_core.Defrag.default else None);
           }
     in
-    let* rules =
-      match alerts with
-      | None -> Ok []
-      | Some s -> (
-        match Mlv_obs.Alert.of_string s with
-        | Ok rs -> Ok rs
-        | Error e -> Error ("bad --alerts: " ^ e))
-    in
+    let* rules = optional "alerts" Mlv_obs.Alert.of_string alerts in
+    let rules = Option.value rules ~default:[] in
     (* --alerts alone enables telemetry at the default cadence;
        --scrape-interval alone publishes series with no rules. *)
     let* telemetry =
@@ -455,63 +428,46 @@ let run set policy tasks seed interarrival repeats compare fault_plan max_retrie
     if compare then
       List.iter run_one [ Runtime.baseline; Runtime.restricted; Runtime.greedy ]
     else run_one policy;
-    let wrote_metrics =
-      match metrics_out with
-      | None -> 0
+    (* Each requested output file in turn; the exit code is 1 when any
+       of them could not be written. *)
+    let write_output code (path, what, write, message) =
+      match path with
+      | None -> code
       | Some path -> (
         try
-          Mlv_obs.Obs.write_json path;
-          Printf.printf "metrics written to %s\n" path;
-          0
+          write path;
+          Printf.printf "%s\n" (message path);
+          code
         with Sys_error e ->
-          Printf.eprintf "cannot write metrics: %s\n" e;
+          Printf.eprintf "cannot write %s: %s\n" what e;
           1)
     in
-    let wrote_trace =
-      match trace_out with
-      | None -> 0
-      | Some path -> (
-        try
-          Mlv_obs.Obs.Trace.write_chrome_json path;
-          Printf.printf "trace written to %s (%d events, %d dropped)\n" path
-            (Mlv_obs.Obs.Trace.recorded ())
-            (Mlv_obs.Obs.Trace.dropped ());
-          0
-        with Sys_error e ->
-          Printf.eprintf "cannot write trace: %s\n" e;
-          1)
-    in
-    let wrote_series =
-      match series_out with
-      | None -> 0
-      | Some path -> (
-        try
-          let oc = open_out path in
-          Fun.protect
-            ~finally:(fun () -> close_out oc)
-            (fun () ->
-              output_string oc
-                (Mlv_obs.Obs.Json.to_string (Mlv_obs.Series.registry_json ()));
-              output_char oc '\n');
-          Printf.printf "series written to %s\n" path;
-          0
-        with Sys_error e ->
-          Printf.eprintf "cannot write series: %s\n" e;
-          1)
-    in
-    let wrote_prom =
-      match prom_out with
-      | None -> 0
-      | Some path -> (
-        try
-          Mlv_obs.Prometheus.write path;
-          Printf.printf "prometheus exposition written to %s\n" path;
-          0
-        with Sys_error e ->
-          Printf.eprintf "cannot write prometheus exposition: %s\n" e;
-          1)
-    in
-    max (max wrote_metrics wrote_trace) (max wrote_series wrote_prom))
+    List.fold_left write_output 0
+      [
+        ( metrics_out,
+          "metrics",
+          Mlv_obs.Obs.write_json,
+          Printf.sprintf "metrics written to %s" );
+        ( trace_out,
+          "trace",
+          Mlv_obs.Obs.Trace.write_chrome_json,
+          fun path ->
+            Printf.sprintf "trace written to %s (%d events, %d dropped)" path
+              (Mlv_obs.Obs.Trace.recorded ())
+              (Mlv_obs.Obs.Trace.dropped ()) );
+        ( series_out,
+          "series",
+          (fun path ->
+            Out_channel.with_open_text path (fun oc ->
+                output_string oc
+                  (Mlv_obs.Obs.Json.to_string (Mlv_obs.Series.registry_json ()));
+                output_char oc '\n')),
+          Printf.sprintf "series written to %s" );
+        ( prom_out,
+          "prometheus exposition",
+          Mlv_obs.Prometheus.write,
+          Printf.sprintf "prometheus exposition written to %s" );
+      ])
 
 let set_arg =
   Arg.(value & opt int 7 & info [ "set" ] ~docv:"N" ~doc:"Table-1 workload set (1-10)")

@@ -291,25 +291,6 @@ let transition_json (tr : transition) =
       ("value", Obs.Json.Float tr.value);
     ]
 
-let to_json t =
-  Obs.Json.Obj
-    [
-      ( "rules",
-        Obs.Json.List
-          (List.map
-             (fun c ->
-               Obs.Json.Obj
-                 [
-                   ("name", Obs.Json.String c.rule.name);
-                   ("spec", Obs.Json.String (rule_to_string c.rule));
-                   ("state", Obs.Json.String (state_name c.state));
-                   ("streak", Obs.Json.Int c.true_streak);
-                   ("cooldown", Obs.Json.Int c.cooldown_left);
-                 ])
-             t.cells) );
-      ("transitions", Obs.Json.List (List.map transition_json (transitions t)));
-    ]
-
 let render t =
   let buf = Buffer.create 256 in
   Buffer.add_string buf "alerts:\n";

@@ -137,10 +137,6 @@ val rule_state : t -> string -> state option
 
 val transition_json : transition -> Obs.Json.t
 
-(** [to_json t] is [{"rules": [{"name","spec","state","pending",
-    "cooldown"}...], "transitions": [...]}]. *)
-val to_json : t -> Obs.Json.t
-
 (** [render t] is the human-readable summary behind the hypervisor's
     [alerts] command. *)
 val render : t -> string

@@ -258,6 +258,9 @@ let latency_percentiles latencies =
    makespan is known. *)
 type ttally = {
   tt_name : string;
+  tt_priority : int;
+      (* the tenant's tl_priority: the preemption policy's work
+         priority *)
   mutable tt_arrived : int;
   mutable tt_admitted : int;
   mutable tt_shed : int;
@@ -280,6 +283,7 @@ let make_tallies cfg =
       ( l.Genset.tl_name,
         {
           tt_name = l.Genset.tl_name;
+          tt_priority = l.Genset.tl_priority;
           tt_arrived = 0;
           tt_admitted = 0;
           tt_shed = 0;
@@ -514,13 +518,6 @@ type replica = {
       (* bumped when a preemption cancels the in-flight batch, so the
          already-scheduled completion event recognizes it is void *)
   mutable r_inflight : stask list;  (* the batch currently in service *)
-  (* Labeled metric handles cached against the deployment dims they
-     were built for; refreshed only when consolidation migrates the
-     deployment (so completions stop allocating label lists). *)
-  mutable r_node : int option;
-  mutable r_kind : string;
-  mutable r_completed_c : Obs.Counter.t option;
-  mutable r_sojourn_h : Obs.Histogram.t option;
 }
 
 type sgroup = {
@@ -549,30 +546,31 @@ type sgroup = {
 
 (* [memo f] caches [f] per key: for the pure name and handle lookups
    the per-event paths would otherwise redo (a sprintf, a label list, a
-   registry probe). *)
+   registry probe).  A hit allocates nothing. *)
 let memo f =
   let tbl = Hashtbl.create 16 in
   fun k ->
-    match Hashtbl.find_opt tbl k with
-    | Some v -> v
-    | None ->
+    match Hashtbl.find tbl k with
+    | v -> v
+    | exception Not_found ->
       let v = f k in
       Hashtbl.replace tbl k v;
       v
 
 (* [push_front q xs] puts [xs], in order, ahead of everything already
    in [q]: re-queued work is the oldest, and FIFO order must survive a
-   retry or an eviction. *)
+   retry. *)
 let push_front q xs =
   let tmp = Queue.create () in
   List.iter (fun x -> Queue.add x tmp) xs;
   Queue.transfer q tmp;
   Queue.transfer tmp q
 
-(* What both engines set up and tally the same way: the fleet, the
-   task stream, the hoisted metric handles, the completion tallies and
-   the telemetry state.  Each engine keeps its own queueing state in
-   its own closure and drives these through the helpers below. *)
+(* What both engines set up and tally the same way: the cluster and
+   runtime, the task stream, the hoisted metric handles, the completion
+   tallies and the telemetry state.  Each engine keeps its own queueing
+   state (the open loop in its closure, serving in a [fleet] record) and
+   drives these through the helpers below. *)
 type state = {
   cfg : config;
   cluster : Cluster.t;
@@ -585,6 +583,10 @@ type state = {
   accel_name : int -> string;
       (* memoized by instance size: computing the name per arrival
          cost a sprintf per task *)
+  completed_node : int -> Obs.Counter.t;
+  sojourn_kind : string -> Obs.Histogram.t;
+      (* labeled series are interned by (name, labels): memoized per
+         dimension value so completions stop allocating label lists *)
   (* Metric handles are interned by name; hoisting the string-keyed
      registry lookups out of the per-event closures lets the hot path
      emit through direct handles. *)
@@ -640,6 +642,12 @@ let setup ~registry cfg =
     multi = cfg.tenants <> [];
     tallies;
     accel_name = memo (fun tiles -> Framework.accel_name ~tiles);
+    completed_node =
+      memo (fun n ->
+          Obs.Counter.get_labeled "sysim.tasks.completed" [ ("node", string_of_int n) ]);
+    sojourn_kind =
+      memo (fun kind ->
+          Obs.Histogram.get_labeled "sysim.task_sojourn_us" [ ("kind", kind) ]);
     rejected_c;
     completed_c;
     arrived_c;
@@ -889,44 +897,99 @@ let finish st ~loop_wall_s ~alerts =
     loop_wall_s;
   }
 
-let rec run ~registry cfg =
-  (* A completed run releases its simulator's span clock — otherwise
-     the closure keeps the whole sim state live and stamps stale sim
-     times onto later, unrelated spans. *)
-  Fun.protect ~finally:Obs.clear_sim_clock (fun () ->
-      Obs.Span.with_ "sysim.run" (fun () ->
-          match cfg.serving with
-          | Some s ->
-            if cfg.faults <> None then
-              invalid_arg
-                "Sysim.run: serving mode does not compose with fault plans";
-            (match cfg.frontend with
-            | Some f when f.predict <> None && s.autoscale = None ->
-              invalid_arg
-                "Sysim.run: frontend.predict requires serving.autoscale"
-            | _ -> ());
-            run_serving ~registry cfg s
-          | None ->
-            if cfg.frontend <> None then
-              invalid_arg "Sysim.run: config.frontend requires serving mode";
-            run_open_loop ~registry cfg))
+(* ---------------- the open loop ---------------- *)
+
+(* Fault-window bookkeeping: the nodes down now, the closed
+   [start, stop] outage intervals (≥ 1 node down), and the completions
+   that landed inside one. *)
+type outages = {
+  down : (int, unit) Hashtbl.t;
+  mutable since : float option;  (* start of the open outage *)
+  mutable closed : (float * float) list;
+  mutable completed_in : int;
+}
+
+let outage_crash o node ~now =
+  if Hashtbl.length o.down = 0 then o.since <- Some now;
+  Hashtbl.replace o.down node ()
+
+let outage_close o ~now =
+  (match o.since with Some t0 -> o.closed <- (t0, now) :: o.closed | None -> ());
+  o.since <- None
+
+(* [since] is set exactly while some node is down, so restoring a node
+   that is up closes nothing. *)
+let outage_restore o node ~now =
+  Hashtbl.remove o.down node;
+  if Hashtbl.length o.down = 0 then outage_close o ~now
+
+(* The downtime, and the throughput outside the fault window:
+   completions that landed while every node was up, over the makespan
+   minus the downtime overlapping it. *)
+let fault_window o st (r : result) =
+  let down_until stop =
+    List.fold_left
+      (fun acc (t0, t1) -> acc +. Float.max 0.0 (Float.min t1 stop -. t0))
+      0.0 o.closed
+  in
+  let downtime = down_until infinity in
+  let up_time = st.makespan -. down_until st.makespan in
+  ( downtime,
+    if downtime = 0.0 then r.throughput_per_s
+    else if up_time > 0.0 then
+      float_of_int (st.completed - o.completed_in) /. (up_time /. 1e6)
+    else 0.0 )
+
+(* Start [p] on its fresh deployment [d]: the service time, the
+   lifecycle events and the completion, which releases [d], records
+   the task and calls [on_done]. *)
+let start_task st inflight o ~sojourn_kind_node (p : pending) d ~on_done =
+  let now = Sim.now st.sim in
+  let node, kind = deployment_dims d in
+  Obs.Trace.task Obs.Trace.Deploy p.task.Genset.task_id ?node
+    ~deployment:d.Runtime.id ~retries:p.retries ~label:p.accel;
+  let wait = now -. p.task.Genset.arrival_us in
+  let service =
+    d.Runtime.reconfig_us
+    +. (float_of_int st.cfg.repeats_per_task
+       *. service_latency_us ~policy:st.cfg.policy
+            ~added_latency_us:(Network.added_latency_us st.cluster.Cluster.network)
+            p.task.Genset.point d)
+  in
+  st.services <- service :: st.services;
+  Obs.Histogram.observe st.service_h service;
+  Obs.Trace.task Obs.Trace.Service p.task.Genset.task_id ?node ~deployment:d.Runtime.id
+    ~retries:p.retries ~label:p.accel;
+  let fl = { pend = p; depl = d; cancelled = false } in
+  let fe = Flight_table.add inflight fl ~nodes:(Runtime.nodes_used d) in
+  Sim.schedule st.sim ~delay:service (fun () ->
+      if not fl.cancelled then begin
+        Flight_table.remove inflight fe;
+        Runtime.undeploy st.runtime d;
+        if Hashtbl.length o.down > 0 then o.completed_in <- o.completed_in + 1;
+        Option.iter (fun n -> Obs.Counter.incr (st.completed_node n)) node;
+        st.waits <- wait :: st.waits;
+        Obs.Histogram.observe st.wait_h wait;
+        (* SLO: a task should finish within slo_multiplier x its
+           unqueued service time. *)
+        let sojourn =
+          record_completion st ?node ~deployment:d.Runtime.id ~retries:p.retries
+            ~label:p.accel ~kind_h:(st.sojourn_kind kind) ~finished:(Sim.now st.sim)
+            ~deadline_us:(st.cfg.slo_multiplier *. service)
+            p.task
+        in
+        Option.iter
+          (fun n -> Obs.Histogram.observe (sojourn_kind_node (kind, n)) sojourn)
+          node;
+        on_done ()
+      end)
 
 (* Open loop: a FIFO queue in front of the runtime, one deployment per
    task, optionally under a fault plan. *)
-and run_open_loop ~registry cfg =
+let run_open_loop ~registry cfg =
   let st = setup ~registry cfg in
   let sim = st.sim and runtime = st.runtime and cluster = st.cluster in
   let retried_c = Obs.Counter.get "sysim.tasks.retried" in
-  (* Labeled series are interned by (name, labels); cache the handles
-     per dimension value so completions stop allocating label lists. *)
-  let completed_node =
-    memo (fun n ->
-        Obs.Counter.get_labeled "sysim.tasks.completed" [ ("node", string_of_int n) ])
-  in
-  let sojourn_kind =
-    memo (fun kind ->
-        Obs.Histogram.get_labeled "sysim.task_sojourn_us" [ ("kind", kind) ])
-  in
   let sojourn_kind_node =
     memo (fun (kind, n) ->
         Obs.Histogram.get_labeled "sysim.task_sojourn_us"
@@ -936,17 +999,12 @@ and run_open_loop ~registry cfg =
   let inflight : inflight Flight_table.t = Flight_table.create () in
   let retried = ref 0 in
   let attempt_waits = ref [] in
-  (* Fault-window bookkeeping: closed [start, stop] outage intervals
-     (≥ 1 node down), plus completions that landed inside one. *)
-  let down : (int, unit) Hashtbl.t = Hashtbl.create 4 in
-  let outage_start = ref None in
-  let outages = ref [] in
-  let completed_in_outage = ref 0 in
+  let o = { down = Hashtbl.create 4; since = None; closed = []; completed_in = 0 } in
   let alerts =
     start_telemetry st
       ~rate:("sysim.retried.rate", fun () -> !retried)
       ~queue_depth:(fun () -> Queue.length queue)
-      ~gauge:("sysim.nodes_down", fun () -> Hashtbl.length down)
+      ~gauge:("sysim.nodes_down", fun () -> Hashtbl.length o.down)
   in
   let reject (p : pending) = note_reject st p.task ~retries:p.retries ~label:p.accel in
   let rec try_start () =
@@ -966,69 +1024,23 @@ and run_open_loop ~registry cfg =
         end
       | Ok d ->
         ignore (Queue.pop queue);
-        let now = Sim.now sim in
-        let node, kind = deployment_dims d in
-        Obs.Trace.task Obs.Trace.Deploy p.task.Genset.task_id ?node
-          ~deployment:d.Runtime.id ~retries:p.retries ~label:p.accel;
-        (* Two wait views: end-to-end (from the task's original
-           arrival to the deployment that actually completes, so a
-           crash retry accumulates every round of queueing into one
-           entry — recorded below, once the service survives) and per
-           attempt (from when this attempt entered the queue, recorded
-           here).  They differ only for retried tasks. *)
-        let wait = now -. p.task.Genset.arrival_us in
-        let attempt_wait = now -. p.ready_us in
+        (* Two wait views: end-to-end (from the task's original arrival
+           to the deployment that actually completes, so a crash retry
+           accumulates every round of queueing into one entry —
+           recorded once the service survives) and per attempt (from
+           when this attempt entered the queue, recorded here).  They
+           differ only for retried tasks. *)
+        let attempt_wait = Sim.now sim -. p.ready_us in
         attempt_waits := attempt_wait :: !attempt_waits;
         Obs.Histogram.observe st.wait_attempt_h attempt_wait;
-        let service =
-          d.Runtime.reconfig_us
-          +. (float_of_int cfg.repeats_per_task
-             *. service_latency_us ~policy:cfg.policy
-                  ~added_latency_us:(Network.added_latency_us cluster.Cluster.network)
-                  p.task.Genset.point d)
-        in
-        st.services <- service :: st.services;
-        Obs.Histogram.observe st.service_h service;
-        Obs.Trace.task Obs.Trace.Service p.task.Genset.task_id ?node
-          ~deployment:d.Runtime.id ~retries:p.retries ~label:p.accel;
-        let fl = { pend = p; depl = d; cancelled = false } in
-        let fe = Flight_table.add inflight fl ~nodes:(Runtime.nodes_used d) in
-        Sim.schedule sim ~delay:service (fun () ->
-            if not fl.cancelled then begin
-              Flight_table.remove inflight fe;
-              Runtime.undeploy runtime d;
-              if Hashtbl.length down > 0 then incr completed_in_outage;
-              (match node with
-              | Some n -> Obs.Counter.incr (completed_node n)
-              | None -> ());
-              st.waits <- wait :: st.waits;
-              Obs.Histogram.observe st.wait_h wait;
-              (* SLO: a task should finish within slo_multiplier x its
-                 unqueued service time. *)
-              let sojourn =
-                record_completion st ?node ~deployment:d.Runtime.id
-                  ~retries:p.retries ~label:p.accel ~kind_h:(sojourn_kind kind)
-                  ~finished:(Sim.now sim)
-                  ~deadline_us:(cfg.slo_multiplier *. service)
-                  p.task
-              in
-              (match node with
-              | Some n -> Obs.Histogram.observe (sojourn_kind_node (kind, n)) sojourn
-              | None -> ());
-              try_start ()
-            end);
+        start_task st inflight o ~sojourn_kind_node p d ~on_done:try_start;
         try_start ()
     end
   in
-  let max_retries =
-    match cfg.faults with Some f -> f.max_retries | None -> 0
-  in
+  let max_retries = match cfg.faults with Some f -> f.max_retries | None -> 0 in
   let on_crash node =
     Runtime.mark_node_failed runtime node;
-    if not (Hashtbl.mem down node) then begin
-      if Hashtbl.length down = 0 then outage_start := Some (Sim.now sim);
-      Hashtbl.replace down node ()
-    end;
+    outage_crash o node ~now:(Sim.now sim);
     (* Interrupt every in-service task with a piece on the dead node:
        its partial progress is gone, its surviving placements free up,
        and it goes back to the head of the queue — unless it already
@@ -1065,15 +1077,7 @@ and run_open_loop ~registry cfg =
   in
   let on_restore node =
     Runtime.restore_node runtime node;
-    if Hashtbl.mem down node then begin
-      Hashtbl.remove down node;
-      if Hashtbl.length down = 0 then begin
-        (match !outage_start with
-        | Some t0 -> outages := (t0, Sim.now sim) :: !outages
-        | None -> ());
-        outage_start := None
-      end
-    end;
+    outage_restore o node ~now:(Sim.now sim);
     try_start ()
   in
   let on_degrade us = Network.set_added_latency_us cluster.Cluster.network us in
@@ -1082,44 +1086,22 @@ and run_open_loop ~registry cfg =
       Obs.Trace.task Obs.Trace.Queue task.Genset.task_id ~label:accel;
       st.peak_queue <- max st.peak_queue (Queue.length queue);
       try_start ());
-  (match cfg.faults with
-  | None -> ()
-  | Some f ->
-    (match Fault_plan.validate f.plan ~nodes:(Cluster.node_count cluster) with
-    | Ok () -> ()
-    | Error e -> invalid_arg ("Sysim.run: " ^ e));
-    Fault_plan.schedule f.plan sim ~on_crash ~on_restore ~on_degrade);
+  Option.iter
+    (fun f ->
+      (match Fault_plan.validate f.plan ~nodes:(Cluster.node_count cluster) with
+      | Ok () -> ()
+      | Error e -> invalid_arg ("Sysim.run: " ^ e));
+      Fault_plan.schedule f.plan sim ~on_crash ~on_restore ~on_degrade)
+    cfg.faults;
   let loop_wall_s = run_loop st in
   (* Tasks still queued when the events drained could not be served
      (e.g. a crash that was never restored): reject them so every
      task is accounted for instead of silently starving. *)
   Queue.iter reject queue;
   Queue.clear queue;
-  (match !outage_start with
-  | Some t0 ->
-    outages := (t0, Sim.now sim) :: !outages;
-    outage_start := None
-  | None -> ());
+  outage_close o ~now:(Sim.now sim);
   let r = finish st ~loop_wall_s ~alerts in
-  let fault_downtime_us =
-    List.fold_left (fun acc (t0, t1) -> acc +. (t1 -. t0)) 0.0 !outages
-  in
-  (* Throughput outside the fault window: completions that landed
-     while every node was up, over the makespan minus the downtime
-     overlapping it. *)
-  let fault_free_throughput_per_s =
-    if fault_downtime_us = 0.0 then r.throughput_per_s
-    else
-      let downtime_in_makespan =
-        List.fold_left
-          (fun acc (t0, t1) -> acc +. Float.max 0.0 (Float.min t1 st.makespan -. t0))
-          0.0 !outages
-      in
-      let up_time = st.makespan -. downtime_in_makespan in
-      if up_time > 0.0 then
-        float_of_int (st.completed - !completed_in_outage) /. (up_time /. 1e6)
-      else 0.0
-  in
+  let fault_downtime_us, fault_free_throughput_per_s = fault_window o st r in
   {
     r with
     retried = !retried;
@@ -1129,42 +1111,70 @@ and run_open_loop ~registry cfg =
     mean_wait_per_attempt_us = Mlv_util.Stats.mean !attempt_waits;
   }
 
+(* ---------------- the serving engine ---------------- *)
+
+module Smap = Map.Make (String)
+module Sset = Set.Make (String)
+
 (* Closed-loop serving: admission gate -> batcher -> router ->
-   replicas, with an optional autoscaler control loop on the sim
-   clock.  Fault plans are rejected up front (see [run]); every task
-   ends as completed, shed or rejected. *)
-and run_serving ~registry cfg serving =
+   replicas, with control ticks on the sim clock.  The engine's state
+   is one record; its stages are the functions below, each calling only
+   stages defined above it: place (grow, reclaim, preempt), complete
+   (start service, completion, in-order delivery), dispatch (sticky
+   pick, router), admit (gate, session, mapping cache, batcher), the
+   control ticks (autoscale, defrag, session expiry) and the drain.
+
+   Groups live in a map keyed by accelerator name: its ascending key
+   order is the one deterministic order every fleet-wide decision
+   sweeps in.  [starved] holds the groups whose backlog is non-empty;
+   only the backlog helpers touch it, so it stays exact and a
+   completion with nothing starved costs one emptiness test. *)
+type fleet = {
+  st : state;
+  serving : serving;
+  fe : frontend;
+  gate : Slo.t;
+  sessions : Session.t option;
+  mapcache : (unit Mapcache.t * float) option;  (* (cache, compile_us) *)
+  shape_sig_of : string -> string;
+      (* shape signatures are a pure function of the registered plan;
+         memoized so the admission path pays one hash lookup *)
+  feasible : string -> bool;
+  batcher : stask Batcher.t;
+  router : Router.t;
+  batches_c : Obs.Counter.t;
+  shed_c : Obs.Counter.t;
+  autoscale_backlog_s : Series.t option;
+      (* sampled by the autoscaler tick, not by the scrape loop *)
+  mutable groups : sgroup Smap.t;
+  mutable starved : Sset.t;
+  mutable busy : int;  (* replicas with a batch in service *)
+  mutable queued : int;  (* admitted requests not yet in service *)
+  mutable arrivals_in : int;
+  mutable scale_ups : int;  (* also the next replica id *)
+  mutable scale_downs : int;
+  mutable preemptions : int;
+  mutable defrag_moves : int;
+}
+
+let create_fleet ~registry cfg serving =
   let st = setup ~registry cfg in
-  let sim = st.sim and runtime = st.runtime and multi = st.multi in
   let batches_c = Obs.Counter.get "sysim.serving.batches" in
   let shed_c = Obs.Counter.get "sysim.serving.shed" in
   let gate = Slo.create serving.classes in
   (match serving.tenant_pool with
   | None -> ()
   | Some (rate_per_s, burst) ->
-    if not multi then
+    if not st.multi then
       invalid_arg "Sysim.run: serving.tenant_pool requires config.tenants";
     Slo.set_tenant_pool gate ~rate_per_s ~burst
       (List.map
          (fun (l : Genset.tenant_load) ->
-           Slo.tenant_spec ~weight:l.Genset.tl_weight
-             ~priority:l.Genset.tl_priority l.Genset.tl_name)
+           Slo.tenant_spec ~weight:l.Genset.tl_weight ~priority:l.Genset.tl_priority
+             l.Genset.tl_name)
          cfg.tenants));
-  (* Tenant priorities drive the preemption policy; a run without
-     positive priorities (every single-tenant run) never preempts. *)
-  let tenant_prio : (string, int) Hashtbl.t = Hashtbl.create 8 in
-  List.iter
-    (fun (l : Genset.tenant_load) ->
-      Hashtbl.replace tenant_prio l.Genset.tl_name l.Genset.tl_priority)
-    cfg.tenants;
-  let prio_of tenant =
-    match Hashtbl.find_opt tenant_prio tenant with Some p -> p | None -> 0
-  in
-  let batch_priority batch =
-    List.fold_left (fun a req -> max a (prio_of req.s_task.Genset.tenant)) 0 batch
-  in
-  (* The serving front door: all-None (the default) takes none of the
-     branches below and is bit-identical to a build without it. *)
+  (* The serving front door: all-None (the default) takes none of its
+     branches and is bit-identical to a build without it. *)
   let fe = match cfg.frontend with Some f -> f | None -> default_frontend in
   let sessions = Option.map Session.create fe.sessions in
   let mapcache =
@@ -1172,762 +1182,729 @@ and run_serving ~registry cfg serving =
       (fun (capacity, compile_us) -> (Mapcache.create ~capacity (), compile_us))
       fe.mapping_cache
   in
-  (* Shape signatures are a pure function of the registered plan;
-     memoized so the admission path pays one hash lookup. *)
-  let shape_sig_of =
-    memo (fun accel ->
-        match Registry.plan registry accel with
-        | Some p -> Mapdb.shape_signature p
-        | None -> accel)
-  in
-  (* Interned lazily: a run that never preempts registers no
-     preemption metrics. *)
-  let preempted_task_c = lazy (Obs.Counter.get "sysim.serving.preempted") in
-  let preemption_c = lazy (Obs.Counter.get "sysim.serving.preemptions") in
-  let batcher : stask Batcher.t = Batcher.create serving.batch in
+  let batcher = Batcher.create serving.batch in
   let router = Router.create () in
-  let groups : (string, sgroup) Hashtbl.t = Hashtbl.create 8 in
-  (* Group names ascending, maintained on creation (groups are never
-     destroyed).  Decisions iterate groups in this order, never in
-     Hashtbl order, to stay deterministic. *)
-  let sorted_keys = ref [] in
-  let insert_key k =
-    let rec ins = function
-      | [] -> [ k ]
-      | x :: rest as l -> if k < x then k :: l else x :: ins rest
-    in
-    sorted_keys := ins !sorted_keys
-  in
-  (* Groups whose backlog is non-empty: the per-completion pump only
-     looks at these instead of sweeping every group. *)
-  let starved : (string, unit) Hashtbl.t = Hashtbl.create 8 in
-  let busy_count = ref 0 in
-  let next_replica_id = ref 0 in
-  let preemptions = ref 0 in
-  let defrag_moves = ref 0 in
-  let arrivals_in = ref 0 in
-  let scale_ups = ref 0 in
-  let scale_downs = ref 0 in
-  let queued = ref 0 in
-  let group_of accel =
-    match Hashtbl.find_opt groups accel with
-    | Some g -> g
-    | None ->
-      let g =
-        {
-          g_accel = accel;
-          g_tracker = Autoscaler.tracker ~name:("sojourn." ^ accel);
-          g_replicas = [];
-          g_by_id = Hashtbl.create 8;
-          g_backlog = Queue.create ();
-          g_backlog_tasks = 0;
-          g_assigned_tasks = 0;
-          g_priority = 0;
-          g_arrivals = 0;
-          g_last_arrivals = 0;
-          g_pt = Option.map Autoscaler.ptracker fe.predict;
-          g_rate_s =
-            (match (fe.predict, serving.autoscale) with
-            | Some _, Some acfg ->
-              let lbl = [ ("accel", accel) ] in
-              (* Own the name: a previous run in this process may have
-                 registered it with a different interval. *)
-              Series.remove (Obs.Labels.key "serve.arrivals.rate" lbl);
-              Some
-                (Series.create_labeled ~buckets:512 ~kind:Series.Gauge
-                   ~interval_us:acfg.interval_us "serve.arrivals.rate" lbl)
-            | _ -> None);
-        }
-      in
-      Hashtbl.replace groups accel g;
-      insert_key accel;
-      g
-  in
-  let replica_count () =
-    List.fold_left
-      (fun acc k -> acc + List.length (Hashtbl.find groups k).g_replicas)
-      0 !sorted_keys
-  in
-  let alerts =
-    start_telemetry st
-      ~rate:("sysim.shed.rate", fun () -> st.shed)
-      ~queue_depth:(fun () -> !queued)
-      ~gauge:("sysim.replicas", replica_count)
-  in
-  (* Sampled by the autoscaler tick, not by the scrape loop. *)
-  let autoscale_backlog_s =
-    Option.map
-      (fun tel -> own_series tel Series.Gauge "sysim.autoscale.backlog")
-      cfg.telemetry
-  in
-  let backlog_push g batch =
-    Queue.add batch g.g_backlog;
-    g.g_backlog_tasks <- g.g_backlog_tasks + List.length batch;
-    Hashtbl.replace starved g.g_accel ()
-  in
-  let backlog_pop g =
-    let b = Queue.pop g.g_backlog in
-    g.g_backlog_tasks <- g.g_backlog_tasks - List.length b;
-    if Queue.is_empty g.g_backlog then Hashtbl.remove starved g.g_accel;
-    b
-  in
-  let reject_stask ~accel (req : stask) =
-    decr queued;
-    (* A rejected seq must not block its session's in-order stream. *)
-    (match (sessions, req.s_session) with
-    | Some stbl, Some sess ->
-      Session.skip stbl sess ~seq:req.s_seq ~now_us:(Sim.now sim)
-    | _ -> ());
-    note_reject st req.s_task ~retries:0 ~label:accel
-  in
-  let reject_backlog g =
-    Queue.iter (fun b -> List.iter (reject_stask ~accel:g.g_accel) b) g.g_backlog;
-    Queue.clear g.g_backlog;
-    g.g_backlog_tasks <- 0;
-    Hashtbl.remove starved g.g_accel
-  in
-  let is_idle r = (not r.r_busy) && Queue.is_empty r.r_queue in
-  (* Longest-idle idle replica in any other group (tie: lowest replica
-     id via the sorted iteration order) — the reclaim candidate when a
-     starved group cannot deploy. *)
-  let reclaim_candidate ~excluding =
-    List.fold_left
-      (fun best k ->
-        if k = excluding then best
-        else
-          let g' = Hashtbl.find groups k in
-          List.fold_left
-            (fun best r ->
-              if not (is_idle r) then best
-              else
-                match best with
-                | Some (_, br) when br.r_idle_since <= r.r_idle_since -> best
-                | _ -> Some (g', r))
-            best g'.g_replicas)
-      None !sorted_keys
-  in
-  let remove_replica g r =
-    Router.remove_replica router ~key:g.g_accel ~replica_id:r.r_id;
-    g.g_replicas <- List.filter (fun x -> x != r) g.g_replicas;
-    Hashtbl.remove g.g_by_id r.r_id;
-    Runtime.undeploy runtime r.r_depl
-  in
-  let make_replica g d =
-    let id = !next_replica_id in
-    incr next_replica_id;
-    let r =
+  {
+    st;
+    serving;
+    fe;
+    gate;
+    sessions;
+    mapcache;
+    shape_sig_of =
+      memo (fun accel ->
+          match Registry.plan registry accel with
+          | Some p -> Mapdb.shape_signature p
+          | None -> accel);
+    (* An accelerator that cannot deploy even on an empty, fully
+       healthy cluster must never trigger an eviction — the freed space
+       could not satisfy it anyway.  Probed once per accelerator on a
+       scratch clone of the configured cluster. *)
+    feasible =
+      memo (fun accel ->
+          let scratch =
+            Runtime.create ~policy:cfg.policy
+              (Cluster.create ~kinds:cfg.cluster_kinds ())
+              registry
+          in
+          match Runtime.deploy scratch ~accel with Ok _ -> true | Error _ -> false);
+    batcher;
+    router;
+    batches_c;
+    shed_c;
+    autoscale_backlog_s =
+      Option.map
+        (fun tel -> own_series tel Series.Gauge "sysim.autoscale.backlog")
+        cfg.telemetry;
+    groups = Smap.empty;
+    starved = Sset.empty;
+    busy = 0;
+    queued = 0;
+    arrivals_in = 0;
+    scale_ups = 0;
+    scale_downs = 0;
+    preemptions = 0;
+    defrag_moves = 0;
+  }
+
+let group_of fl accel =
+  match Smap.find accel fl.groups with
+  | g -> g
+  | exception Not_found ->
+    let g =
       {
-        r_id = id;
-        r_depl = d;
-        r_queue = Queue.create ();
-        r_busy = false;
-        r_fresh = true;
-        r_idle_since = Sim.now sim;
-        r_epoch = 0;
-        r_inflight = [];
-        r_node = None;
-        r_kind = "";
-        r_completed_c = None;
-        r_sojourn_h = None;
+        g_accel = accel;
+        g_tracker = Autoscaler.tracker ~name:("sojourn." ^ accel);
+        g_replicas = [];
+        g_by_id = Hashtbl.create 8;
+        g_backlog = Queue.create ();
+        g_backlog_tasks = 0;
+        g_assigned_tasks = 0;
+        g_priority = 0;
+        g_arrivals = 0;
+        g_last_arrivals = 0;
+        g_pt = Option.map Autoscaler.ptracker fl.fe.predict;
+        g_rate_s =
+          (match (fl.fe.predict, fl.serving.autoscale) with
+          | Some _, Some acfg ->
+            let lbl = [ ("accel", accel) ] in
+            (* Own the name: a previous run in this process may have
+               registered it with a different interval. *)
+            Series.remove (Obs.Labels.key "serve.arrivals.rate" lbl);
+            Some
+              (Series.create_labeled ~buckets:512 ~kind:Series.Gauge
+                 ~interval_us:acfg.interval_us "serve.arrivals.rate" lbl)
+          | _ -> None);
       }
     in
-    Router.add_replica router ~key:g.g_accel ~replica_id:id ~weight:1.0;
-    g.g_replicas <- g.g_replicas @ [ r ];
-    Hashtbl.replace g.g_by_id id r;
-    incr scale_ups;
-    Obs.Counter.incr (Obs.Counter.get "sysim.serving.scale_up");
-    Autoscaler.mark_scaled g.g_tracker ~now_us:(Sim.now sim);
-    r
-  in
-  (* Add a replica to [g]: deploy, optionally reclaiming idle replicas
-     from other groups until the deploy fits.  [`Dead] means the accel
-     can never deploy: nothing is busy, nothing is left to reclaim,
-     and the mapper still refuses — mirror the open loop and reject
-     rather than wait forever. *)
-  let rec grow g ~allow_reclaim =
-    match Runtime.deploy runtime ~accel:g.g_accel with
-    | Ok d ->
-      ignore (make_replica g d);
-      `Ok
-    | Error _ ->
-      if allow_reclaim then
-        match reclaim_candidate ~excluding:g.g_accel with
-        | Some (g', r) ->
-          Obs.Counter.incr (Obs.Counter.get "sysim.serving.reclaimed");
-          remove_replica g' r;
-          grow g ~allow_reclaim
-        | None -> if !busy_count > 0 then `Full else `Dead
-      else if !busy_count > 0 || g.g_replicas <> [] then `Full
-      else if reclaim_candidate ~excluding:g.g_accel = None then `Dead
-      else `Full
-  in
-  (* Victim for a priority preemption: any replica of a group whose
-     work priority is below the demanding batch's — lowest priority
-     first, idle before queued before busy, then lowest replica id
-     (the deterministic tie-break). *)
-  let preempt_candidate ~excluding ~prio =
-    List.fold_left
-      (fun best k ->
-        if k = excluding then best
-        else
-          let g' = Hashtbl.find groups k in
-          if g'.g_priority >= prio then best
-          else
-            List.fold_left
-              (fun best r ->
-                let rank =
-                  if is_idle r then 0 else if not r.r_busy then 1 else 2
-                in
-                let key = (g'.g_priority, rank, r.r_id) in
-                match best with
-                | Some (bkey, _, _) when bkey <= key -> best
-                | _ -> Some (key, g', r))
-              best g'.g_replicas)
-      None !sorted_keys
-  in
-  (* Evict a victim replica: cancel its in-flight batch (those tasks
-     are preempted losses, closing the per-tenant identity
-     arrived = completed + shed + rejected + preempted), requeue its
-     untouched batches at the front of its own group's backlog, and
-     undeploy. *)
-  let preempt_replica g' r ~now =
-    if r.r_busy then begin
-      r.r_epoch <- r.r_epoch + 1 (* orphan the scheduled completion *);
-      r.r_busy <- false;
-      decr busy_count;
-      List.iter
-        (fun (req : stask) ->
-          st.preempted <- st.preempted + 1;
-          Obs.Counter.incr (Lazy.force preempted_task_c);
-          (match (sessions, req.s_session) with
-          | Some stbl, Some sess ->
-            Session.skip stbl sess ~seq:req.s_seq ~now_us:now
-          | _ -> ());
-          match tally_of st req.s_task.Genset.tenant with
-          | Some t -> t.tt_preempted <- t.tt_preempted + 1
-          | None -> ())
-        r.r_inflight;
-      r.r_inflight <- []
-    end;
-    let qbatches = List.rev (Queue.fold (fun acc b -> b :: acc) [] r.r_queue) in
-    Queue.clear r.r_queue;
-    (* a preempted victim's queued work is its group's oldest: back
-       to the front of the backlog *)
-    List.iter
+    fl.groups <- Smap.add accel g fl.groups;
+    g
+
+let is_idle r = (not r.r_busy) && Queue.is_empty r.r_queue
+
+(* [fold_replicas fl f init] folds [f] over every replica: groups in
+   key order, each group's replicas in creation order. *)
+let fold_replicas fl f init =
+  Smap.fold
+    (fun _ g acc -> List.fold_left (fun acc r -> f acc g r) acc g.g_replicas)
+    fl.groups init
+
+(* The longer-idle of [best] and [r] when [r] is idle; a tie keeps
+   [best], the earlier one in sweep order. *)
+let longest_idle best g r =
+  if not (is_idle r) then best
+  else
+    match best with
+    | Some (_, b) when b.r_idle_since <= r.r_idle_since -> best
+    | _ -> Some (g, r)
+
+(* ---- backlog: the only writers of [starved] ---- *)
+
+let backlog_push fl g batch =
+  Queue.add batch g.g_backlog;
+  g.g_backlog_tasks <- g.g_backlog_tasks + List.length batch;
+  fl.starved <- Sset.add g.g_accel fl.starved
+
+let backlog_pop fl g =
+  let b = Queue.pop g.g_backlog in
+  g.g_backlog_tasks <- g.g_backlog_tasks - List.length b;
+  if Queue.is_empty g.g_backlog then fl.starved <- Sset.remove g.g_accel fl.starved;
+  b
+
+(* An evicted replica's queued batches are its group's oldest work:
+   append the backlog behind them, then move the lot back. *)
+let backlog_requeue fl g r =
+  if not (Queue.is_empty r.r_queue) then begin
+    Queue.iter
       (fun b ->
         let n = List.length b in
-        g'.g_assigned_tasks <- g'.g_assigned_tasks - n;
-        g'.g_backlog_tasks <- g'.g_backlog_tasks + n)
-      qbatches;
-    push_front g'.g_backlog qbatches;
-    if qbatches <> [] then Hashtbl.replace starved g'.g_accel ();
-    remove_replica g' r;
-    incr preemptions;
-    Obs.Counter.incr (Lazy.force preemption_c);
-    Autoscaler.mark_scaled g'.g_tracker ~now_us:now
+        g.g_assigned_tasks <- g.g_assigned_tasks - n;
+        g.g_backlog_tasks <- g.g_backlog_tasks + n)
+      r.r_queue;
+    Queue.transfer g.g_backlog r.r_queue;
+    Queue.transfer r.r_queue g.g_backlog;
+    fl.starved <- Sset.add g.g_accel fl.starved
+  end
+
+(* A dropped request (rejected or preempted) must not block its
+   session's in-order stream. *)
+let skip_session fl req ~now_us =
+  match (fl.sessions, req.s_session) with
+  | Some stbl, Some sess -> Session.skip stbl sess ~seq:req.s_seq ~now_us
+  | _ -> ()
+
+let reject_stask fl ~accel req =
+  fl.queued <- fl.queued - 1;
+  skip_session fl req ~now_us:(Sim.now fl.st.sim);
+  note_reject fl.st req.s_task ~retries:0 ~label:accel
+
+let reject_backlog fl g =
+  while not (Queue.is_empty g.g_backlog) do
+    List.iter (reject_stask fl ~accel:g.g_accel) (backlog_pop fl g)
+  done
+
+(* ---- place: grow, reclaim, preempt ---- *)
+
+let remove_replica fl g r =
+  Router.remove_replica fl.router ~key:g.g_accel ~replica_id:r.r_id;
+  g.g_replicas <- List.filter (fun x -> x != r) g.g_replicas;
+  Hashtbl.remove g.g_by_id r.r_id;
+  Runtime.undeploy fl.st.runtime r.r_depl
+
+let add_replica fl g d =
+  let now = Sim.now fl.st.sim in
+  let id = fl.scale_ups in
+  let r =
+    {
+      r_id = id;
+      r_depl = d;
+      r_queue = Queue.create ();
+      r_busy = false;
+      r_fresh = true;
+      r_idle_since = now;
+      r_epoch = 0;
+      r_inflight = [];
+    }
   in
-  (* An accelerator that cannot deploy even on an empty, fully
-     healthy cluster must never trigger an eviction — the freed space
-     could not satisfy it anyway.  Probed once per accelerator on a
-     scratch clone of the configured cluster and memoized. *)
-  let feasible =
-    memo (fun accel ->
-        let scratch =
-          Runtime.create ~policy:cfg.policy
-            (Cluster.create ~kinds:cfg.cluster_kinds ())
-            registry
-        in
-        match Runtime.deploy scratch ~accel with Ok _ -> true | Error _ -> false)
-  in
-  (* Admission with preemption: when the mapper refuses and the
-     demanding batch carries tenant priority, evict lower-priority
-     work.  An idle victim is first relocated (force-migrate; the
-     rollback guarantee keeps it live on failure) in case a denser
-     packing alone frees the needed device; a victim that stays in
-     the way is undeployed.  [tried] lists replicas already relocated
-     so none relocates twice — every step then either grows [tried]
-     (bounded by the replica count) or evicts a replica, so the loop
-     terminates. *)
-  let rec grow_preempting g ~prio ~tried =
-    match grow g ~allow_reclaim:(serving.autoscale <> None) with
-    | (`Ok | `Dead) as outcome -> outcome
-    | `Full when not (feasible g.g_accel) -> `Dead
-    | `Full -> (
-      match preempt_candidate ~excluding:g.g_accel ~prio with
-      | None -> `Full
-      | Some (_, g', r) ->
-        if
-          (not (List.mem r.r_id tried))
-          && is_idle r
-          &&
-          match Runtime.migrate ~force:true runtime r.r_depl with
-          | Ok m -> m > 0
-          | Error _ -> false
-        then grow_preempting g ~prio ~tried:(r.r_id :: tried)
-        else begin
-          preempt_replica g' r ~now:(Sim.now sim);
-          grow_preempting g ~prio ~tried
-        end)
-  in
-  (* Route a batch onto a replica: router bookkeeping and the queue
-     append, with the group's assigned-task counter kept in step. *)
-  let assign g r batch =
+  Router.add_replica fl.router ~key:g.g_accel ~replica_id:id ~weight:1.0;
+  g.g_replicas <- g.g_replicas @ [ r ];
+  Hashtbl.replace g.g_by_id id r;
+  fl.scale_ups <- id + 1;
+  Obs.Counter.incr (Obs.Counter.get "sysim.serving.scale_up");
+  Autoscaler.mark_scaled g.g_tracker ~now_us:now
+
+(* The longest-idle idle replica of any group but [excluding] — the
+   reclaim candidate when a starved group cannot deploy. *)
+let reclaim_candidate fl ~excluding =
+  fold_replicas fl
+    (fun best g r -> if g == excluding then best else longest_idle best g r)
+    None
+
+(* Add a replica to [g]: deploy, optionally reclaiming idle replicas
+   from other groups until the deploy fits.  [`Dead] means the accel
+   can never deploy: nothing is busy, nothing is left to reclaim, and
+   the mapper still refuses — mirror the open loop and reject rather
+   than wait forever. *)
+let rec grow fl g ~allow_reclaim =
+  match Runtime.deploy fl.st.runtime ~accel:g.g_accel with
+  | Ok d ->
+    add_replica fl g d;
+    `Ok
+  | Error _ ->
+    if allow_reclaim then
+      match reclaim_candidate fl ~excluding:g with
+      | Some (g', r) ->
+        Obs.Counter.incr (Obs.Counter.get "sysim.serving.reclaimed");
+        remove_replica fl g' r;
+        grow fl g ~allow_reclaim
+      | None -> if fl.busy > 0 then `Full else `Dead
+    else if fl.busy > 0 || g.g_replicas <> [] then `Full
+    else if reclaim_candidate fl ~excluding:g = None then `Dead
+    else `Full
+
+(* Victim for a priority preemption: any replica of a group whose work
+   priority is below the demanding batch's — lowest priority first,
+   idle before queued before busy, then lowest replica id (the
+   deterministic tie-break). *)
+let preempt_candidate fl ~excluding ~prio =
+  fold_replicas fl
+    (fun best g r ->
+      if g == excluding || g.g_priority >= prio then best
+      else
+        let rank = if is_idle r then 0 else if not r.r_busy then 1 else 2 in
+        let key = (g.g_priority, rank, r.r_id) in
+        match best with
+        | Some (bkey, _, _) when bkey <= key -> best
+        | _ -> Some (key, g, r))
+    None
+
+(* Evict a victim replica: cancel its in-flight batch (those tasks are
+   preempted losses, closing the per-tenant identity arrived =
+   completed + shed + rejected + preempted), requeue its untouched
+   batches at the front of its own group's backlog, and undeploy. *)
+let preempt_replica fl g r ~now =
+  let st = fl.st in
+  if r.r_busy then begin
+    r.r_epoch <- r.r_epoch + 1 (* orphan the scheduled completion *);
+    r.r_busy <- false;
+    fl.busy <- fl.busy - 1;
+    List.iter
+      (fun (req : stask) ->
+        st.preempted <- st.preempted + 1;
+        Obs.Counter.incr (Obs.Counter.get "sysim.serving.preempted");
+        skip_session fl req ~now_us:now;
+        Option.iter
+          (fun t -> t.tt_preempted <- t.tt_preempted + 1)
+          (tally_of st req.s_task.Genset.tenant))
+      r.r_inflight;
+    r.r_inflight <- []
+  end;
+  backlog_requeue fl g r;
+  remove_replica fl g r;
+  fl.preemptions <- fl.preemptions + 1;
+  Obs.Counter.incr (Obs.Counter.get "sysim.serving.preemptions");
+  Autoscaler.mark_scaled g.g_tracker ~now_us:now
+
+(* Admission with preemption: when the mapper refuses and the
+   demanding batch carries tenant priority, evict lower-priority work.
+   An idle victim is first relocated (force-migrate; the rollback
+   guarantee keeps it live on failure) in case a denser packing alone
+   frees the needed device; a victim that stays in the way is
+   undeployed.  [tried] lists replicas already relocated so none
+   relocates twice — every step then either grows [tried] (bounded by
+   the replica count) or evicts a replica, so the loop terminates. *)
+let rec grow_preempting fl g ~prio ~tried =
+  match grow fl g ~allow_reclaim:(fl.serving.autoscale <> None) with
+  | (`Ok | `Dead) as outcome -> outcome
+  | `Full when not (fl.feasible g.g_accel) -> `Dead
+  | `Full -> (
+    match preempt_candidate fl ~excluding:g ~prio with
+    | None -> `Full
+    | Some (_, g', r) ->
+      if
+        (not (List.mem r.r_id tried))
+        && is_idle r
+        &&
+        match Runtime.migrate ~force:true fl.st.runtime r.r_depl with
+        | Ok m -> m > 0
+        | Error _ -> false
+      then grow_preempting fl g ~prio ~tried:(r.r_id :: tried)
+      else begin
+        preempt_replica fl g' r ~now:(Sim.now fl.st.sim);
+        grow_preempting fl g ~prio ~tried
+      end)
+
+(* ---- complete: start service, completion, in-order delivery ---- *)
+
+(* Route a batch onto a replica: router bookkeeping and the queue
+   append, with the group's assigned-task counter kept in step. *)
+let assign fl g r batch =
+  let n = List.length batch in
+  Router.begin_work fl.router ~key:g.g_accel ~replica_id:r.r_id n;
+  g.g_assigned_tasks <- g.g_assigned_tasks + n;
+  Queue.add batch r.r_queue
+
+(* Start the replica's next queued batch.  Reconfiguration (and
+   mapping compilation) is charged once per batch and amortized across
+   its tasks; each task's share is computed here and carried to its
+   completion. *)
+let rec start_replica fl g r =
+  if (not r.r_busy) && not (Queue.is_empty r.r_queue) then begin
+    let st = fl.st in
+    let batch = Queue.pop r.r_queue in
     let n = List.length batch in
-    Router.begin_work router ~key:g.g_accel ~replica_id:r.r_id n;
-    g.g_assigned_tasks <- g.g_assigned_tasks + n;
-    Queue.add batch r.r_queue
-  in
-  (* Refresh the replica's cached labeled handles when the deployment
-     dims changed (consolidation migrates idle replicas); the counter
-     is created before the histogram to keep registry creation order
-     identical to the per-completion lookups this replaces. *)
-  let replica_handles r node kind =
-    if r.r_sojourn_h = None || r.r_node <> node || r.r_kind <> kind then begin
-      r.r_node <- node;
-      r.r_kind <- kind;
-      r.r_completed_c <-
-        (match node with
-        | Some n ->
-          Some
-            (Obs.Counter.get_labeled "sysim.tasks.completed"
-               [ ("node", string_of_int n) ])
-        | None -> None);
-      r.r_sojourn_h <-
-        Some (Obs.Histogram.get_labeled "sysim.task_sojourn_us" [ ("kind", kind) ])
-    end
-  in
-  let rec start_replica g r =
-    if (not r.r_busy) && not (Queue.is_empty r.r_queue) then begin
-      let batch = Queue.pop r.r_queue in
-      g.g_assigned_tasks <- g.g_assigned_tasks - List.length batch;
-      r.r_busy <- true;
-      incr busy_count;
-      r.r_inflight <- batch;
-      let epoch = r.r_epoch in
-      let now = Sim.now sim in
-      let d = r.r_depl in
-      let node, kind = deployment_dims d in
-      let added = Network.added_latency_us st.cluster.Cluster.network in
-      let reconfig = if r.r_fresh then d.Runtime.reconfig_us else 0.0 in
-      r.r_fresh <- false;
-      let n = List.length batch in
-      let per_task =
-        List.map
-          (fun req ->
-            float_of_int cfg.repeats_per_task
-            *. service_latency_us ~policy:cfg.policy ~added_latency_us:added
-                 req.s_task.Genset.point d)
-          batch
-      in
-      (* Mapping-cache misses pay their compilation on the batch, like
-         reconfiguration does; all-hit (or cacheless) batches add an
-         exact 0.0, keeping service times bit-identical. *)
-      let compile = List.fold_left (fun a req -> a +. req.s_compile_us) 0.0 batch in
-      let service = reconfig +. compile +. List.fold_left ( +. ) 0.0 per_task in
-      List.iter2
+    g.g_assigned_tasks <- g.g_assigned_tasks - n;
+    r.r_busy <- true;
+    fl.busy <- fl.busy + 1;
+    r.r_inflight <- batch;
+    let epoch = r.r_epoch in
+    let now = Sim.now st.sim in
+    let d = r.r_depl in
+    let node, kind = deployment_dims d in
+    let added = Network.added_latency_us st.cluster.Cluster.network in
+    let reconfig = if r.r_fresh then d.Runtime.reconfig_us else 0.0 in
+    r.r_fresh <- false;
+    let per_task =
+      List.map
+        (fun req ->
+          float_of_int st.cfg.repeats_per_task
+          *. service_latency_us ~policy:st.cfg.policy ~added_latency_us:added
+               req.s_task.Genset.point d)
+        batch
+    in
+    (* Mapping-cache misses pay their compilation on the batch, like
+       reconfiguration does; all-hit (or cacheless) batches add an
+       exact 0.0, keeping service times bit-identical. *)
+    let compile = List.fold_left (fun a req -> a +. req.s_compile_us) 0.0 batch in
+    let service = reconfig +. compile +. List.fold_left ( +. ) 0.0 per_task in
+    let amortized = (reconfig +. compile) /. float_of_int n in
+    let task_services =
+      List.map2
         (fun req svc ->
-          decr queued;
+          fl.queued <- fl.queued - 1;
           let id = req.s_task.Genset.task_id in
-          Obs.Trace.task Obs.Trace.Deploy id ?node ~deployment:d.Runtime.id
-            ~retries:0 ~label:g.g_accel;
+          Obs.Trace.task Obs.Trace.Deploy id ?node ~deployment:d.Runtime.id ~retries:0
+            ~label:g.g_accel;
           (* No retries in serving mode: per-attempt and end-to-end
              waits coincide. *)
           let wait = now -. req.s_task.Genset.arrival_us in
           st.waits <- wait :: st.waits;
           Obs.Histogram.observe st.wait_h wait;
           Obs.Histogram.observe st.wait_attempt_h wait;
-          (* Reconfiguration (and compilation) amortizes across the
-             batch. *)
-          let task_service = svc +. ((reconfig +. compile) /. float_of_int n) in
+          let task_service = svc +. amortized in
           st.services <- task_service :: st.services;
           Obs.Histogram.observe st.service_h task_service;
-          (match g.g_pt with
-          | Some pt -> Autoscaler.observe_service pt task_service
-          | None -> ());
-          Obs.Trace.task Obs.Trace.Service id ?node ~deployment:d.Runtime.id
-            ~retries:0 ~label:g.g_accel)
-        batch per_task;
-      Sim.schedule sim ~delay:service (fun () ->
-          (* A preemption during service bumped the epoch: the replica
-             is gone and its batch was already counted as preempted —
-             this completion is void. *)
-          if r.r_epoch = epoch then begin
-          let finished = Sim.now sim in
-          r.r_busy <- false;
-          decr busy_count;
-          r.r_inflight <- [];
-          r.r_idle_since <- finished;
-          Router.end_work router ~key:g.g_accel ~replica_id:r.r_id n;
-          replica_handles r node kind;
-          let sojourn_kind_h =
-            match r.r_sojourn_h with Some h -> h | None -> assert false
-          in
-          (* One task's result delivery.  Without sessions it runs
-             inline at [finished]; with sessions it routes through the
-             in-order stream, so a held result is delivered (and
-             timed) at the releasing event's clock. *)
-          let record (req : stask) svc ~finished =
-            (match r.r_completed_c with
-            | Some c -> Obs.Counter.incr c
-            | None -> ());
-            let task_service = svc +. ((reconfig +. compile) /. float_of_int n) in
-            let deadline_us =
-              if req.s_deadline_us > 0.0 then req.s_deadline_us
-              else cfg.slo_multiplier *. task_service
-            in
-            let sojourn =
-              record_completion st ?node ~deployment:d.Runtime.id ~retries:0
-                ~label:g.g_accel ~kind_h:sojourn_kind_h ~finished ~deadline_us
-                req.s_task
-            in
-            Autoscaler.observe_sojourn g.g_tracker sojourn
-          in
-          (match sessions with
-          | None ->
-            List.iter2 (fun req svc -> record req svc ~finished) batch per_task
-          | Some stbl ->
-            List.iter2
-              (fun req svc ->
-                match req.s_session with
-                | Some sess ->
-                  Session.complete stbl sess ~seq:req.s_seq ~now_us:finished
-                    (fun ~now_us -> record req svc ~finished:now_us)
-                | None -> record req svc ~finished)
-              batch per_task);
-          st.makespan <- Float.max st.makespan finished;
-          if Queue.is_empty r.r_queue && not (Queue.is_empty g.g_backlog)
-          then assign g r (backlog_pop g);
-          start_replica g r;
-          pump_all ()
-          end)
-    end
-  (* A completion anywhere may unblock a starved group: retry
-     bootstrap deploys for groups whose backlog has no replica.  Only
-     the maintained starved set is consulted — O(1) when nothing is
-     starved, O(starved log starved) otherwise. *)
-  and pump_all () =
-    if Hashtbl.length starved > 0 then
-      Hashtbl.fold (fun k () acc -> k :: acc) starved []
-      |> List.sort compare
-      |> List.iter (fun k -> pump_group (Hashtbl.find groups k))
-  and pump_group g =
-    if not (Queue.is_empty g.g_backlog) then begin
-      match Router.pick router ~key:g.g_accel with
-      | Some rid ->
-        let r = Hashtbl.find g.g_by_id rid in
-        if is_idle r then begin
-          assign g r (backlog_pop g);
-          start_replica g r;
-          pump_group g
-        end
-      | None -> (
-        match grow g ~allow_reclaim:false with
-        | `Ok -> pump_group g
-        | `Dead -> reject_backlog g
-        | `Full -> ())
-    end
+          Option.iter (fun pt -> Autoscaler.observe_service pt task_service) g.g_pt;
+          Obs.Trace.task Obs.Trace.Service id ?node ~deployment:d.Runtime.id ~retries:0
+            ~label:g.g_accel;
+          task_service)
+        batch per_task
+    in
+    Sim.schedule st.sim ~delay:service (fun () ->
+        (* A preemption during service bumped the epoch: the replica is
+           gone and its batch was already counted as preempted — this
+           completion is void. *)
+        if r.r_epoch = epoch then complete fl g r batch task_services ~node ~kind)
+  end
+
+and complete fl g r batch task_services ~node ~kind =
+  let st = fl.st in
+  let finished = Sim.now st.sim in
+  r.r_busy <- false;
+  fl.busy <- fl.busy - 1;
+  r.r_inflight <- [];
+  r.r_idle_since <- finished;
+  Router.end_work fl.router ~key:g.g_accel ~replica_id:r.r_id (List.length batch);
+  (* Looked up at completion, node counter first, as the open loop
+     does: a held result still counts on the node that ran it. *)
+  let node_c = Option.map st.completed_node node in
+  let kind_h = st.sojourn_kind kind in
+  (* One task's result delivery.  Without sessions it runs inline at
+     [finished]; with sessions it routes through the in-order stream,
+     so a held result is delivered (and timed) at the releasing event's
+     clock. *)
+  let record (req : stask) task_service ~finished =
+    (match node_c with Some c -> Obs.Counter.incr c | None -> ());
+    let deadline_us =
+      if req.s_deadline_us > 0.0 then req.s_deadline_us
+      else st.cfg.slo_multiplier *. task_service
+    in
+    let sojourn =
+      record_completion st ?node ~deployment:r.r_depl.Runtime.id ~retries:0
+        ~label:g.g_accel ~kind_h ~finished ~deadline_us req.s_task
+    in
+    Autoscaler.observe_sojourn g.g_tracker sojourn
   in
-  (* Sticky routing: a batch whose head belongs to a session goes back
-     to the replica that served that session last (warm weights, warm
-     cache) when it is still alive; otherwise the router picks and the
-     choice becomes the session's new affinity.  Without sessions this
-     is exactly [Router.pick]. *)
-  let sticky_pick g batch =
-    match sessions with
-    | None -> Router.pick router ~key:g.g_accel
-    | Some stbl -> (
-      match batch with
-      | { s_session = Some sess; _ } :: _ -> (
-        match Session.affinity sess ~accel:g.g_accel with
-        | Some rid when Hashtbl.mem g.g_by_id rid ->
-          Session.note_sticky stbl true;
-          Some rid
-        | _ -> (
-          match Router.pick router ~key:g.g_accel with
-          | Some rid ->
-            Session.note_sticky stbl false;
-            Session.set_affinity sess ~accel:g.g_accel ~replica:rid;
-            Some rid
-          | None -> None))
-      | _ -> Router.pick router ~key:g.g_accel)
-  in
-  let rec dispatch g batch =
-    Obs.Counter.incr batches_c;
-    match sticky_pick g batch with
+  List.iter2
+    (fun req task_service ->
+      match (fl.sessions, req.s_session) with
+      | Some stbl, Some sess ->
+        Session.complete stbl sess ~seq:req.s_seq ~now_us:finished (fun ~now_us ->
+            record req task_service ~finished:now_us)
+      | _ -> record req task_service ~finished)
+    batch task_services;
+  st.makespan <- Float.max st.makespan finished;
+  if Queue.is_empty r.r_queue && not (Queue.is_empty g.g_backlog) then
+    assign fl g r (backlog_pop fl g);
+  start_replica fl g r;
+  pump_all fl
+
+(* A completion anywhere may unblock a starved group: retry bootstrap
+   deploys for the groups whose backlog has no replica, in key
+   order. *)
+and pump_all fl =
+  if not (Sset.is_empty fl.starved) then
+    Sset.iter (fun k -> pump_group fl (Smap.find k fl.groups)) fl.starved
+
+and pump_group fl g =
+  if not (Queue.is_empty g.g_backlog) then begin
+    match Router.pick fl.router ~key:g.g_accel with
     | Some rid ->
       let r = Hashtbl.find g.g_by_id rid in
-      assign g r batch;
-      start_replica g r
+      if is_idle r then begin
+        assign fl g r (backlog_pop fl g);
+        start_replica fl g r;
+        pump_group fl g
+      end
     | None -> (
-      let prio = if serving.preempt then batch_priority batch else 0 in
-      let outcome =
-        if prio > 0 then grow_preempting g ~prio ~tried:[]
-        else grow g ~allow_reclaim:(serving.autoscale <> None)
-      in
-      match outcome with
-      | `Ok -> dispatch g batch
-      | `Full -> backlog_push g batch
-      | `Dead -> List.iter (reject_stask ~accel:g.g_accel) batch)
-  in
-  (* Scale-down takes the group's longest-idle idle replica, then
-     tries to consolidate a surviving idle multi-piece replica into a
-     denser packing (the mapping search sees the freed space). *)
-  let scale_down g ~now =
-    let victim =
-      List.fold_left
-        (fun best r ->
-          if not (is_idle r) then best
-          else
-            match best with
-            | Some (b : replica) when b.r_idle_since <= r.r_idle_since -> best
-            | _ -> Some r)
-        None g.g_replicas
+      match grow fl g ~allow_reclaim:false with
+      | `Ok -> pump_group fl g
+      | `Dead -> reject_backlog fl g
+      | `Full -> ())
+  end
+
+(* ---- dispatch: sticky pick, router ---- *)
+
+(* Sticky routing: a batch whose head belongs to a session goes back to
+   the replica that served that session last (warm weights, warm
+   cache) when it is still alive; otherwise the router picks and the
+   choice becomes the session's new affinity.  Without sessions this is
+   exactly [Router.pick]. *)
+let sticky_pick fl g batch =
+  match (fl.sessions, batch) with
+  | Some stbl, { s_session = Some sess; _ } :: _ -> (
+    match Session.affinity sess ~accel:g.g_accel with
+    | Some rid when Hashtbl.mem g.g_by_id rid ->
+      Session.note_sticky stbl true;
+      Some rid
+    | _ -> (
+      match Router.pick fl.router ~key:g.g_accel with
+      | Some rid ->
+        Session.note_sticky stbl false;
+        Session.set_affinity sess ~accel:g.g_accel ~replica:rid;
+        Some rid
+      | None -> None))
+  | _ -> Router.pick fl.router ~key:g.g_accel
+
+let rec dispatch fl g batch =
+  Obs.Counter.incr fl.batches_c;
+  match sticky_pick fl g batch with
+  | Some rid ->
+    let r = Hashtbl.find g.g_by_id rid in
+    assign fl g r batch;
+    start_replica fl g r
+  | None -> (
+    (* the batch's highest tenant priority: 0, never preempting, without tenants *)
+    let prio =
+      if fl.serving.preempt then
+        List.fold_left
+          (fun a req ->
+            match tally_of fl.st req.s_task.Genset.tenant with
+            | Some t -> max a t.tt_priority
+            | None -> a)
+          0 batch
+      else 0
     in
-    match victim with
-    | None -> ()
-    | Some r ->
-      remove_replica g r;
-      incr scale_downs;
-      Obs.Counter.incr (Obs.Counter.get "sysim.serving.scale_down");
-      Autoscaler.mark_scaled g.g_tracker ~now_us:now;
-      List.iter
-        (fun r' ->
-          if
-            is_idle r'
-            && List.length r'.r_depl.Runtime.placements > 1
-          then
-            match Runtime.migrate ~force:true runtime r'.r_depl with
-            | Ok m when m > 0 ->
-              Obs.Counter.incr (Obs.Counter.get "sysim.serving.consolidated")
-            | Ok _ | Error _ -> ())
-        g.g_replicas
+    let outcome =
+      if prio > 0 then grow_preempting fl g ~prio ~tried:[]
+      else grow fl g ~allow_reclaim:(fl.serving.autoscale <> None)
+    in
+    match outcome with
+    | `Ok -> dispatch fl g batch
+    | `Full -> backlog_push fl g batch
+    | `Dead -> List.iter (reject_stask fl ~accel:g.g_accel) batch)
+
+(* ---- admit: gate, session, mapping cache, batcher ---- *)
+
+(* Front door: the request joins its client's session stream (one
+   session per tenant) and probes the compiled-mapping cache — a miss
+   pays [compile_us] of mapping work on top of service, a hit pays
+   nothing. *)
+let request fl (task : Genset.task) ~class_name ~accel ~now =
+  let sess =
+    Option.map (fun stbl -> Session.touch stbl ~now_us:now task.Genset.tenant) fl.sessions
   in
-  (match serving.autoscale with
+  let seq = match sess with Some s -> Session.submit s | None -> 0 in
+  let compile_us =
+    match fl.mapcache with
+    | None -> 0.0
+    | Some (mc, cost) -> (
+      match Mapcache.find mc (fl.shape_sig_of accel) with
+      | Some () -> 0.0
+      | None ->
+        Mapcache.put mc (fl.shape_sig_of accel) ();
+        cost)
+  in
+  {
+    s_task = task;
+    s_deadline_us =
+      (match Slo.find fl.gate class_name with Some c -> c.Slo.deadline_us | None -> 0.0);
+    s_session = sess;
+    s_seq = seq;
+    s_compile_us = compile_us;
+  }
+
+let admit fl (task : Genset.task) tally accel =
+  let st = fl.st in
+  fl.arrivals_in <- fl.arrivals_in + 1;
+  let now = Sim.now st.sim in
+  let class_name = Sizes.name task.Genset.model_class in
+  let verdict =
+    if st.multi then Slo.admit ~tenant:task.Genset.tenant fl.gate ~class_name ~now_us:now
+    else Slo.admit fl.gate ~class_name ~now_us:now
+  in
+  match verdict with
+  | Slo.Shed_rate | Slo.Shed_priority | Slo.Shed_tenant ->
+    st.shed <- st.shed + 1;
+    Obs.Counter.incr fl.shed_c;
+    Option.iter
+      (fun t ->
+        t.tt_shed <- t.tt_shed + 1;
+        Obs.Counter.incr t.tt_shed_c)
+      tally;
+    Obs.Trace.task Obs.Trace.Reject task.Genset.task_id ~retries:0 ~label:accel
+  | Slo.Admitted -> (
+    (match tally with Some t -> t.tt_admitted <- t.tt_admitted + 1 | None -> ());
+    let req = request fl task ~class_name ~accel ~now in
+    fl.queued <- fl.queued + 1;
+    st.peak_queue <- max st.peak_queue fl.queued;
+    Obs.Trace.task Obs.Trace.Queue task.Genset.task_id ~label:accel;
+    let g = group_of fl accel in
+    g.g_arrivals <- g.g_arrivals + 1;
+    (match tally with
+    | Some t when t.tt_priority > g.g_priority -> g.g_priority <- t.tt_priority
+    | _ -> ());
+    match Batcher.add fl.batcher ~key:accel ~now_us:now req with
+    | Batcher.Dispatch batch -> dispatch fl g batch
+    | Batcher.Opened deadline ->
+      Sim.schedule_at st.sim ~at:deadline (fun () ->
+          match Batcher.flush_due fl.batcher ~key:accel ~now_us:(Sim.now st.sim) with
+          | [] -> ()
+          | batch -> dispatch fl g batch)
+    | Batcher.Joined -> ())
+
+(* ---- control ticks: autoscale, defrag, session expiry ---- *)
+
+(* Scale-down takes the group's longest-idle idle replica, then tries
+   to consolidate a surviving idle multi-piece replica into a denser
+   packing (the mapping search sees the freed space). *)
+let scale_down fl g ~now =
+  match List.fold_left (fun best r -> longest_idle best g r) None g.g_replicas with
   | None -> ()
-  | Some acfg ->
-    let min_priority () =
-      List.fold_left
-        (fun acc (c : Slo.class_spec) -> min acc c.priority)
-        max_int (Slo.classes gate)
-    in
-    every sim ~interval_us:acfg.interval_us
-      ~while_:(fun () -> unfinished st)
-      (fun () ->
-        let now = Sim.now sim in
-        let capacity_bound = ref false in
-        let total_backlog = ref 0 in
-        List.iter
-          (fun k ->
-            let g = Hashtbl.find groups k in
-            let backlog =
-              Batcher.pending batcher ~key:k + g.g_backlog_tasks + g.g_assigned_tasks
-            in
-            total_backlog := !total_backlog + backlog;
-            let replicas = List.length g.g_replicas in
-            let idle =
-              List.length
-                (List.filter
-                   (fun r ->
-                     is_idle r && now -. r.r_idle_since >= acfg.idle_timeout_us)
-                   g.g_replicas)
-            in
-            (* Predictive mode feeds the tick's admitted-arrival rate
-               to the forecaster and grows toward its target in one
-               tick; reactive mode keeps the one-step watermark rules
-               (its target is the current size, so the growth loop
-               below runs exactly once — the pre-front-door shape). *)
-            let decision, target =
-              match (g.g_pt, fe.predict) with
-              | Some pt, Some p ->
-                let delta = g.g_arrivals - g.g_last_arrivals in
-                g.g_last_arrivals <- g.g_arrivals;
-                let rate = float_of_int delta /. (acfg.interval_us /. 1e6) in
-                (match g.g_rate_s with
-                | Some s -> Series.observe s ~now_us:now rate
-                | None -> ());
-                Autoscaler.observe_rate pt rate;
-                Autoscaler.decide_predictive acfg p g.g_tracker pt ~now_us:now
-                  ~backlog ~replicas ~idle
-                  ~deadline_us:(Slo.min_deadline_us gate)
-              | _ ->
-                ( Autoscaler.decide acfg g.g_tracker ~now_us:now ~backlog
-                    ~replicas ~idle ~deadline_us:(Slo.min_deadline_us gate),
-                  replicas )
-            in
-            match decision with
-            | Autoscaler.Scale_up ->
-              let rec grow_n k =
-                if k > 0 then
-                  match grow g ~allow_reclaim:true with
-                  | `Ok ->
-                    pump_group g;
-                    grow_n (k - 1)
-                  | `Full -> capacity_bound := true
-                  | `Dead -> reject_backlog g
-              in
-              grow_n (max 1 (target - replicas))
-            | Autoscaler.Scale_down -> scale_down g ~now
-            | Autoscaler.Hold -> ())
-          !sorted_keys;
-        (* Capacity-bound: shed the lowest-priority class at the gate
-           until a tick passes without an unsatisfied scale-up. *)
-        if !capacity_bound && Slo.classes gate <> [] then
-          Slo.set_shed_below gate (min_priority () + 1)
-        else Slo.set_shed_below gate min_int;
-        match autoscale_backlog_s with
-        | Some s -> Series.observe s ~now_us:now (float_of_int !total_backlog)
-        | None -> ()));
-  (* The defrag and session-expiry ticks must not keep the event queue
-     alive once no progress is possible: when every arrival has fired,
-     nothing is in flight and no batch is lingering, the remaining
-     backlog is permanently starved (e.g. its replica was preempted and
-     the fabric never frees up) and the run must drain so the leftovers
-     can be rejected. *)
-  let progressing () =
-    unfinished st
-    && not
-         (!arrivals_in >= st.ntasks
-         && !busy_count = 0
-         && List.for_all (fun k -> Batcher.pending batcher ~key:k = 0) !sorted_keys)
+  | Some (_, r) ->
+    remove_replica fl g r;
+    fl.scale_downs <- fl.scale_downs + 1;
+    Obs.Counter.incr (Obs.Counter.get "sysim.serving.scale_down");
+    Autoscaler.mark_scaled g.g_tracker ~now_us:now;
+    List.iter
+      (fun r' ->
+        if is_idle r' && List.length r'.r_depl.Runtime.placements > 1 then
+          match Runtime.migrate ~force:true fl.st.runtime r'.r_depl with
+          | Ok m when m > 0 ->
+            Obs.Counter.incr (Obs.Counter.get "sysim.serving.consolidated")
+          | Ok _ | Error _ -> ())
+      g.g_replicas
+
+(* One group's autoscaling decision; returns the group's backlog and
+   whether a scale-up found the fabric full.  Predictive mode feeds the
+   tick's admitted-arrival rate to the forecaster and grows toward its
+   target in one tick; reactive mode keeps the one-step watermark rules
+   (its target is the current size, so the growth loop runs exactly
+   once). *)
+let autoscale_group fl acfg g ~now =
+  let backlog =
+    Batcher.pending fl.batcher ~key:g.g_accel + g.g_backlog_tasks + g.g_assigned_tasks
   in
-  (* Background defragmentation: a periodic tick that compacts idle
-     replicas when the fleet is quiet (no backlog anywhere) and the
-     fragmentation index crosses the policy threshold.  In-flight
-     batches are never moved — only deployments of idle replicas are
-     eligible. *)
-  (match serving.defrag with
+  let replicas = List.length g.g_replicas in
+  let idle =
+    List.length
+      (List.filter
+         (fun r -> is_idle r && now -. r.r_idle_since >= acfg.Autoscaler.idle_timeout_us)
+         g.g_replicas)
+  in
+  let deadline_us = Slo.min_deadline_us fl.gate in
+  let decision, target =
+    match (g.g_pt, fl.fe.predict) with
+    | Some pt, Some p ->
+      let delta = g.g_arrivals - g.g_last_arrivals in
+      g.g_last_arrivals <- g.g_arrivals;
+      let rate = float_of_int delta /. (acfg.Autoscaler.interval_us /. 1e6) in
+      (match g.g_rate_s with Some s -> Series.observe s ~now_us:now rate | None -> ());
+      Autoscaler.observe_rate pt rate;
+      Autoscaler.decide_predictive acfg p g.g_tracker pt ~now_us:now ~backlog ~replicas
+        ~idle ~deadline_us
+    | _ ->
+      ( Autoscaler.decide acfg g.g_tracker ~now_us:now ~backlog ~replicas ~idle
+          ~deadline_us,
+        replicas )
+  in
+  let rec grow_n k =
+    k > 0
+    &&
+    match grow fl g ~allow_reclaim:true with
+    | `Ok ->
+      pump_group fl g;
+      grow_n (k - 1)
+    | `Full -> true
+    | `Dead ->
+      reject_backlog fl g;
+      false
+  in
+  let full =
+    match decision with
+    | Autoscaler.Scale_up -> grow_n (max 1 (target - replicas))
+    | Autoscaler.Scale_down ->
+      scale_down fl g ~now;
+      false
+    | Autoscaler.Hold -> false
+  in
+  (backlog, full)
+
+(* Capacity-bound (some scale-up found the fabric full): shed the
+   lowest-priority class at the gate until a tick passes without an
+   unsatisfied scale-up. *)
+let autoscale_tick fl acfg =
+  let now = Sim.now fl.st.sim in
+  let total_backlog, capacity_bound =
+    Smap.fold
+      (fun _ g (total, bound) ->
+        let backlog, full = autoscale_group fl acfg g ~now in
+        (total + backlog, bound || full))
+      fl.groups (0, false)
+  in
+  if capacity_bound && Slo.classes fl.gate <> [] then
+    Slo.set_shed_below fl.gate
+      (List.fold_left
+         (fun acc (c : Slo.class_spec) -> min acc c.priority)
+         max_int (Slo.classes fl.gate)
+      + 1)
+  else Slo.set_shed_below fl.gate min_int;
+  match fl.autoscale_backlog_s with
+  | Some s -> Series.observe s ~now_us:now (float_of_int total_backlog)
   | None -> ()
-  | Some dcfg ->
-    let idle_deployments () =
-      let ids = Hashtbl.create 16 in
-      List.iter
-        (fun k ->
-          List.iter
-            (fun r ->
-              if is_idle r then Hashtbl.replace ids r.r_depl.Runtime.id ())
-            (Hashtbl.find groups k).g_replicas)
-        !sorted_keys;
-      ids
+
+(* Background defragmentation: compact idle replicas when the fleet is
+   quiet (nothing starved) and the fragmentation index crosses the
+   policy threshold.  In-flight batches are never moved — only
+   deployments of idle replicas are eligible. *)
+let defrag_tick fl dcfg =
+  if Sset.is_empty fl.starved && Defrag.should_run dcfg fl.st.runtime then begin
+    let ids = Hashtbl.create 16 in
+    fold_replicas fl
+      (fun () _ r -> if is_idle r then Hashtbl.replace ids r.r_depl.Runtime.id ())
+      ();
+    let pass =
+      Defrag.run_pass
+        ~eligible:(fun (d : Runtime.deployment) -> Hashtbl.mem ids d.Runtime.id)
+        dcfg fl.st.runtime
     in
-    let quiet () =
-      List.for_all
-        (fun k -> Queue.is_empty (Hashtbl.find groups k).g_backlog)
-        !sorted_keys
-    in
-    every sim ~interval_us:dcfg.Defrag.interval_us ~while_:progressing (fun () ->
-        if quiet () && Defrag.should_run dcfg runtime then begin
-          let ids = idle_deployments () in
-          let pass =
-            Defrag.run_pass
-              ~eligible:(fun (d : Runtime.deployment) ->
-                Hashtbl.mem ids d.Runtime.id)
-              dcfg runtime
-          in
-          defrag_moves := !defrag_moves + pass.Defrag.moved
-        end));
-  (* Session idle expiry rides its own tick at the configured timeout
-     period. *)
-  (match (sessions, fe.sessions) with
-  | Some stbl, Some scfg ->
-    every sim ~interval_us:scfg.Session.idle_timeout_us ~while_:progressing
-      (fun () -> ignore (Session.expire stbl ~now_us:(Sim.now sim)))
-  | _ -> ());
-  schedule_arrivals st (fun task tally accel ->
-      incr arrivals_in;
-      let now = Sim.now sim in
-      let cname = Sizes.name task.Genset.model_class in
-      let verdict =
-        if multi then
-          Slo.admit ~tenant:task.Genset.tenant gate ~class_name:cname ~now_us:now
-        else Slo.admit gate ~class_name:cname ~now_us:now
-      in
-      match verdict with
-      | Slo.Shed_rate | Slo.Shed_priority | Slo.Shed_tenant ->
-        st.shed <- st.shed + 1;
-        Obs.Counter.incr shed_c;
-        (match tally with
-        | Some t ->
-          t.tt_shed <- t.tt_shed + 1;
-          Obs.Counter.incr t.tt_shed_c
-        | None -> ());
-        Obs.Trace.task Obs.Trace.Reject task.Genset.task_id ~retries:0 ~label:accel
-      | Slo.Admitted -> (
-        (match tally with
-        | Some t -> t.tt_admitted <- t.tt_admitted + 1
-        | None -> ());
-        (* Front door: the request joins its client's session stream
-           (one session per tenant) and probes the compiled-mapping
-           cache — a miss pays [compile_us] of mapping work on top of
-           service, a hit pays nothing. *)
-        let sess =
-          Option.map
-            (fun stbl -> Session.touch stbl ~now_us:now task.Genset.tenant)
-            sessions
-        in
-        let seq = match sess with Some s -> Session.submit s | None -> 0 in
-        let compile_us =
-          match mapcache with
-          | None -> 0.0
-          | Some (mc, cost) -> (
-            match Mapcache.find mc (shape_sig_of accel) with
-            | Some () -> 0.0
-            | None ->
-              Mapcache.put mc (shape_sig_of accel) ();
-              cost)
-        in
-        let req =
-          {
-            s_task = task;
-            s_deadline_us =
-              (match Slo.find gate cname with
-              | Some c -> c.Slo.deadline_us
-              | None -> 0.0);
-            s_session = sess;
-            s_seq = seq;
-            s_compile_us = compile_us;
-          }
-        in
-        incr queued;
-        st.peak_queue <- max st.peak_queue !queued;
-        Obs.Trace.task Obs.Trace.Queue task.Genset.task_id ~label:accel;
-        let g = group_of accel in
-        g.g_arrivals <- g.g_arrivals + 1;
-        (let p = prio_of task.Genset.tenant in
-         if p > g.g_priority then g.g_priority <- p);
-        match Batcher.add batcher ~key:accel ~now_us:now req with
-        | Batcher.Dispatch batch -> dispatch g batch
-        | Batcher.Opened deadline ->
-          Sim.schedule_at sim ~at:deadline (fun () ->
-              match Batcher.flush_due batcher ~key:accel ~now_us:(Sim.now sim) with
-              | [] -> ()
-              | batch -> dispatch g batch)
-        | Batcher.Joined -> ()));
-  let loop_wall_s = run_loop st in
-  (* Whatever never reached a replica is rejected, and the warm pool
-     is torn down, so every task and every placement is accounted
-     for. *)
-  List.iter
-    (fun k ->
-      let g = Hashtbl.find groups k in
-      List.iter (reject_stask ~accel:k) (Batcher.drain batcher ~key:k);
-      reject_backlog g;
+    fl.defrag_moves <- fl.defrag_moves + pass.Defrag.moved
+  end
+
+(* The defrag and session-expiry ticks must not keep the event queue
+   alive once no progress is possible: when every arrival has fired,
+   nothing is in service and no batch is lingering, the remaining
+   backlog is permanently starved (e.g. its replica was preempted and
+   the fabric never frees up) and the run must drain so the leftovers
+   can be rejected. *)
+let progressing fl =
+  unfinished fl.st
+  && not
+       (fl.arrivals_in >= fl.st.ntasks
+       && fl.busy = 0
+       && Smap.for_all (fun k _ -> Batcher.pending fl.batcher ~key:k = 0) fl.groups)
+
+(* ---- drain ---- *)
+
+(* Whatever never reached a replica is rejected, and the warm pool is
+   torn down, so every task and every placement is accounted for. *)
+let drain fl =
+  Smap.iter
+    (fun k g ->
+      List.iter (reject_stask fl ~accel:k) (Batcher.drain fl.batcher ~key:k);
+      reject_backlog fl g;
       List.iter
         (fun r ->
-          Queue.iter (fun b -> List.iter (reject_stask ~accel:k) b) r.r_queue;
+          Queue.iter (fun b -> List.iter (reject_stask fl ~accel:k) b) r.r_queue;
           Queue.clear r.r_queue;
-          Runtime.undeploy runtime r.r_depl)
+          Runtime.undeploy fl.st.runtime r.r_depl)
         g.g_replicas;
       g.g_replicas <- [])
-    !sorted_keys;
-  let count f = match sessions with Some s -> f s | None -> 0 in
-  let mapcount f = match mapcache with Some (mc, _) -> f mc | None -> 0 in
+    fl.groups
+
+(* Fault plans are rejected up front (see [run]); every task ends as
+   completed, shed, preempted or rejected. *)
+let run_serving ~registry cfg serving =
+  let fl = create_fleet ~registry cfg serving in
+  let st = fl.st in
+  let alerts =
+    start_telemetry st
+      ~rate:("sysim.shed.rate", fun () -> st.shed)
+      ~queue_depth:(fun () -> fl.queued)
+      ~gauge:("sysim.replicas", fun () -> fold_replicas fl (fun n _ _ -> n + 1) 0)
+  in
+  Option.iter
+    (fun (acfg : Autoscaler.config) ->
+      every st.sim ~interval_us:acfg.interval_us
+        ~while_:(fun () -> unfinished st)
+        (fun () -> autoscale_tick fl acfg))
+    serving.autoscale;
+  Option.iter
+    (fun dcfg ->
+      every st.sim ~interval_us:dcfg.Defrag.interval_us
+        ~while_:(fun () -> progressing fl)
+        (fun () -> defrag_tick fl dcfg))
+    serving.defrag;
+  (* Session idle expiry rides its own tick at the configured timeout
+     period. *)
+  (match (fl.sessions, fl.fe.sessions) with
+  | Some stbl, Some scfg ->
+    every st.sim ~interval_us:scfg.Session.idle_timeout_us
+      ~while_:(fun () -> progressing fl)
+      (fun () -> ignore (Session.expire stbl ~now_us:(Sim.now st.sim)))
+  | _ -> ());
+  schedule_arrivals st (admit fl);
+  let loop_wall_s = run_loop st in
+  drain fl;
+  let count f = match fl.sessions with Some s -> f s | None -> 0 in
+  let mapcount f = match fl.mapcache with Some (mc, _) -> f mc | None -> 0 in
   {
     (finish st ~loop_wall_s ~alerts) with
-    batches = Batcher.batches batcher;
-    scale_ups = !scale_ups;
-    scale_downs = !scale_downs;
-    preemptions = !preemptions;
-    defrag_moves = !defrag_moves;
+    batches = Batcher.batches fl.batcher;
+    scale_ups = fl.scale_ups;
+    scale_downs = fl.scale_downs;
+    preemptions = fl.preemptions;
+    defrag_moves = fl.defrag_moves;
     sessions_opened = count Session.opened;
     sessions_expired = count Session.expired;
     sticky_hits = count Session.sticky_hits;
@@ -1937,3 +1914,23 @@ and run_serving ~registry cfg serving =
     mapcache_misses = mapcount Mapcache.misses;
     mapcache_evictions = mapcount Mapcache.evictions;
   }
+
+let run ~registry (cfg : config) =
+  (* A completed run releases its simulator's span clock — otherwise
+     the closure keeps the whole sim state live and stamps stale sim
+     times onto later, unrelated spans. *)
+  Fun.protect ~finally:Obs.clear_sim_clock (fun () ->
+      Obs.Span.with_ "sysim.run" (fun () ->
+          match cfg.serving with
+          | Some s ->
+            if cfg.faults <> None then
+              invalid_arg "Sysim.run: serving mode does not compose with fault plans";
+            (match cfg.frontend with
+            | Some f when f.predict <> None && s.autoscale = None ->
+              invalid_arg "Sysim.run: frontend.predict requires serving.autoscale"
+            | _ -> ());
+            run_serving ~registry cfg s
+          | None ->
+            if cfg.frontend <> None then
+              invalid_arg "Sysim.run: config.frontend requires serving mode";
+            run_open_loop ~registry cfg))

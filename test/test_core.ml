@@ -1310,6 +1310,44 @@ let test_runtime_failover_loses_when_full () =
       Alcotest.(check (list int)) "on the last node" [ 3 ] (Runtime.nodes_used d))
     (Runtime.deployments rt)
 
+let test_runtime_failover_redeploy_order () =
+  (* Seven small instances pack two to a node; the space left on the
+     other nodes holds one more.  Both deployments on the failed node
+     need it: fail_node re-places the affected deployments newest
+     first, so the newer one is recovered and the older one is lost. *)
+  let rt, _ = runtime_fixture Runtime.greedy in
+  let ds =
+    List.init 7 (fun _ ->
+        match Runtime.deploy rt ~accel:"npu-t6" with
+        | Ok d -> d
+        | Error e -> Alcotest.failf "deploy failed: %s" e)
+  in
+  let node_of d =
+    match Runtime.nodes_used d with
+    | [ n ] -> n
+    | _ -> Alcotest.fail "expected single-node deployment"
+  in
+  let victim =
+    match
+      List.find_opt
+        (fun n -> List.length (List.filter (fun d -> node_of d = n) ds) = 2)
+        (List.sort_uniq compare (List.map node_of ds))
+    with
+    | Some n -> n
+    | None -> Alcotest.fail "expected a node holding two deployments"
+  in
+  let older, newer =
+    match List.filter (fun d -> node_of d = victim) ds with
+    | [ a; b ] -> (a, b)
+    | _ -> assert false
+  in
+  let f = Runtime.fail_node rt victim in
+  Alcotest.(check int) "one recovered" 1 f.Runtime.recovered;
+  Alcotest.(check bool) "the newer deployment is recovered" true
+    (List.memq newer (Runtime.deployments rt));
+  Alcotest.(check bool) "the older deployment is lost" true
+    (match f.Runtime.lost with [ d ] -> d == older | _ -> false)
+
 let test_hypervisor_failover_commands () =
   let rt, _ = runtime_fixture Runtime.greedy in
   let h = Hypervisor.create rt in
@@ -1617,6 +1655,8 @@ let () =
             test_hypervisor_timeline_and_top;
           Alcotest.test_case "node failure failover" `Quick test_runtime_node_failure;
           Alcotest.test_case "failover loses when full" `Quick test_runtime_failover_loses_when_full;
+          Alcotest.test_case "failover redeploy order" `Quick
+            test_runtime_failover_redeploy_order;
           Alcotest.test_case "hypervisor failover" `Quick test_hypervisor_failover_commands;
           QCheck_alcotest.to_alcotest prop_runtime_conservation;
         ] );

@@ -531,6 +531,75 @@ let test_queue_golden_serving () =
     }
   |> check_golden "serving" "a52f68b28e9af316143e537bc4d7cd1e"
 
+(* Serving paths the goldens above never reach.  An all-L workload on
+   a lone XCKU115 can never deploy, so [grow] answers [`Dead] and every
+   request is rejected; a bursty mixed workload on a small mixed fleet
+   scales an L group down while a multi-piece sibling replica sits idle,
+   so scale-down consolidates it. *)
+let counter_value name =
+  match List.assoc_opt name (Mlv_obs.Obs.counters ()) with Some v -> v | None -> 0
+
+let test_golden_serving_dead () =
+  let cfg =
+    Sysim.default_config ~policy:Runtime.greedy
+      ~composition:{ Genset.s = 0.0; m = 0.0; l = 1.0 }
+  in
+  let r =
+    Sysim.run ~registry:(Lazy.force registry)
+      {
+        cfg with
+        Sysim.tasks = 5;
+        cluster_kinds = [ Mlv_fpga.Device.XCKU115 ];
+        serving = Some Sysim.default_serving;
+      }
+  in
+  check_golden "dead accelerator" "b3e8719a6c3a66ee705d61e59de4d010" r;
+  Alcotest.(check int) "every request rejected" 5 r.Sysim.rejected;
+  Alcotest.(check int) "none completed" 0 r.Sysim.completed
+
+let test_golden_serving_consolidation () =
+  let cfg =
+    Sysim.default_config ~policy:Runtime.greedy
+      ~composition:{ Genset.s = 0.3; m = 0.3; l = 0.4 }
+  in
+  let before = counter_value "sysim.serving.consolidated" in
+  let r =
+    Sysim.run ~registry:(Lazy.force registry)
+      {
+        cfg with
+        Sysim.tasks = 60;
+        mean_interarrival_us = 300.0;
+        repeats_per_task = 2;
+        cluster_kinds =
+          Mlv_fpga.Device.[ XCVU37P; XCKU115; XCKU115; XCKU115; XCKU115; XCVU37P ];
+        arrival =
+          Some
+            (Genset.Diurnal
+               {
+                 period_us = 40_000.0;
+                 trough_mean_us = 8_000.0;
+                 peak_mean_us = 300.0;
+                 flash_start_us = 0.0;
+                 flash_us = 0.0;
+                 flash_mean_us = 300.0;
+               });
+        serving =
+          Some
+            {
+              Sysim.default_serving with
+              Sysim.batch = Batcher.config ~max_batch:1 ~max_linger_us:0.0 ();
+              autoscale =
+                Some
+                  (Autoscaler.config ~idle_timeout_us:200.0 ~cooldown_us:500.0
+                     ~high_backlog_per_replica:1.0 ());
+            };
+      }
+  in
+  check_golden "consolidation" "74cdc890d852d13df15fe924ae5b7f54" r;
+  Alcotest.(check bool) "scale-down consolidated a replica" true
+    (counter_value "sysim.serving.consolidated" > before);
+  Alcotest.(check int) "every request completed" 60 r.Sysim.completed
+
 (* ---------------- fault injection ---------------- *)
 
 module Fault_plan = Mlv_cluster.Fault_plan
@@ -749,6 +818,10 @@ let () =
           Alcotest.test_case "all serving features" `Quick test_golden_all_features;
           Alcotest.test_case "open loop with faults" `Quick
             test_golden_open_loop_faults;
+          Alcotest.test_case "serving dead accelerator" `Quick
+            test_golden_serving_dead;
+          Alcotest.test_case "serving consolidation" `Quick
+            test_golden_serving_consolidation;
         ] );
       ( "faults",
         [
